@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParameterBag, Tensor, dropout, softmax
-from .nn import LSTM, Linear, MLP
+from .nn import LSTM, Linear
 
 __all__ = [
     "WEIGHT_FLOOR",

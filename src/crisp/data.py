@@ -90,16 +90,22 @@ class Universe:
         return p_pad, v_pad, m_pad
 
 
+def _row_error(path: str, line: int, ticker: str, date: str, problem: str) -> ValueError:
+    return ValueError(f"{path} line {line} ({ticker} on {date}): {problem}")
+
+
 def load_csv(path: str, tickers: list[str]) -> Universe:
     """Read a long-format CSV (date,ticker,close,volume) into a Universe.
 
     Dates are restricted to the calendar intersection: only days where every
     requested ticker has a row survive.  Rows with non-positive prices are
     dropped before alignment and counted in the error message if they
-    eliminate a ticker entirely.
+    eliminate a ticker entirely.  A requested ticker's row with a non-finite
+    close or volume, a negative volume, or a second row for the same date
+    raises ``ValueError`` naming the file line, ticker and date.
     """
     per_ticker: dict[str, dict[str, tuple[float, float]]] = {t: {} for t in tickers}
-    bad_price_rows = 0
+    dropped: set[tuple[str, str]] = set()      # rows with non-positive prices
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"date", "ticker", "close", "volume"}
@@ -107,20 +113,29 @@ def load_csv(path: str, tickers: list[str]) -> Universe:
             raise ValueError(
                 f"CSV must have columns date,ticker,close,volume; got {reader.fieldnames}")
         for row in reader:
-            t = row["ticker"]
-            if t not in per_ticker:
+            t, date = row["ticker"], row["date"]
+            series = per_ticker.get(t)
+            if series is None:
                 continue
-            close = float(row["close"])
+            if date in series or (t, date) in dropped:
+                raise _row_error(path, reader.line_num, t, date,
+                                 "duplicate row for this ticker and date")
+            close, volume = float(row["close"]), float(row["volume"])
+            if not (math.isfinite(close) and math.isfinite(volume)):
+                raise _row_error(path, reader.line_num, t, date,
+                                 f"non-finite close {close} or volume {volume}")
+            if volume < 0.0:
+                raise _row_error(path, reader.line_num, t, date, f"negative volume {volume}")
             if close <= 0.0:
-                bad_price_rows += 1
+                dropped.add((t, date))
                 continue
-            per_ticker[t][row["date"]] = (close, float(row["volume"]))
+            series[date] = (close, volume)
 
     missing = [t for t in tickers if not per_ticker[t]]
     if missing:
         raise ValueError(
             f"no usable rows for tickers {missing} in {path}"
-            + (f" ({bad_price_rows} rows dropped for non-positive prices)" if bad_price_rows else ""))
+            + (f" ({len(dropped)} rows dropped for non-positive prices)" if dropped else ""))
 
     common = set.intersection(*(set(d.keys()) for d in per_ticker.values()))
     if len(common) < 2:

@@ -189,8 +189,14 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(f"truncated checkpoint: array {meta['name']!r}")
             tables[meta["section"]][meta["name"]] = (
                 np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+    config = ModelConfig(**header["config"])
+    expected = config.config_hash()
+    if header["config_hash"] != expected:
+        raise ValueError(
+            f"{path}: stored config_hash {header['config_hash']!r} does not match "
+            f"{expected!r}, the hash of its config")
     return Checkpoint(
-        model_config=ModelConfig(**header["config"]),
+        model_config=config,
         best_params=tables["best"],
         last_params=tables["last"],
         adam_m=tables["m"],

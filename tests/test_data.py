@@ -58,6 +58,35 @@ def test_load_csv_rejects_nonpositive_prices(tmp_path):
     assert u.dates == ["2020-01-01", "2020-01-03"]
 
 
+@pytest.mark.parametrize("close,volume", [("nan", "1"), ("inf", "1"), ("10", "nan")])
+def test_load_csv_rejects_nonfinite_values(tmp_path, close, volume):
+    rows = ["2020-01-01,AAA,10,1", f"2020-01-02,AAA,{close},{volume}",
+            "2020-01-03,AAA,11,1"]
+    with pytest.raises(ValueError, match=r"line 3 \(AAA on 2020-01-02\).*non-finite"):
+        load_csv(write_csv(tmp_path, rows), ["AAA"])
+
+
+def test_load_csv_rejects_negative_volume(tmp_path):
+    rows = [f"2020-01-0{d},AAA,10,1" for d in (1, 2)] + ["2020-01-03,AAA,11,-4"]
+    with pytest.raises(ValueError, match=r"line 4 \(AAA on 2020-01-03\).*negative volume"):
+        load_csv(write_csv(tmp_path, rows), ["AAA"])
+
+
+@pytest.mark.parametrize("first_close", ["11", "-5"])   # kept or dropped first row
+def test_load_csv_rejects_duplicate_rows(tmp_path, first_close):
+    rows = ["2020-01-01,AAA,10,1", f"2020-01-02,AAA,{first_close},1",
+            "2020-01-02,AAA,50,1", "2020-01-03,AAA,12,1"]
+    with pytest.raises(ValueError, match=r"line 4 \(AAA on 2020-01-02\).*duplicate"):
+        load_csv(write_csv(tmp_path, rows), ["AAA"])
+
+
+def test_load_csv_ignores_rows_of_unrequested_tickers(tmp_path):
+    rows = [f"2020-01-0{d},AAA,10,1" for d in (1, 2)]
+    rows += ["2020-01-01,ZZZ,nan,-1", "2020-01-01,ZZZ,nan,-1"]
+    u = load_csv(write_csv(tmp_path, rows), ["AAA"])
+    assert u.tickers == ["AAA"] and len(u.dates) == 2
+
+
 def test_load_csv_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("day,symbol,price\n2020-01-01,AAA,3\n")

@@ -164,6 +164,19 @@ def test_checkpoint_truncation_detected(trained, tmp_path):
         load_checkpoint(str(p))
 
 
+def test_checkpoint_config_hash_mismatch_rejected(trained, tmp_path):
+    _, result = trained
+    p = tmp_path / "h.bin"
+    save_checkpoint(result.checkpoint, str(p))
+    stored = result.checkpoint.config_hash()
+    data = p.read_bytes()
+    assert data.count(stored.encode()) == 1
+    # same length, so the header size field still holds
+    p.write_bytes(data.replace(stored.encode(), b"0" * len(stored)))
+    with pytest.raises(ValueError, match="config_hash"):
+        load_checkpoint(str(p))
+
+
 # -- training loop ------------------------------------------------------------
 
 def test_training_is_deterministic(windows, prior):
