@@ -126,12 +126,6 @@ class Tensor:
     def _not_scalar(self):
         raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -598,15 +592,14 @@ def backward(loss: Tensor) -> None:
 
 
 class Parameter:
-    """A named, trainable tensor; gradient buffer allocated eagerly."""
+    """A named tensor the optimizer updates; gradient buffer allocated eagerly."""
 
-    __slots__ = ("name", "tensor", "trainable")
+    __slots__ = ("name", "tensor")
 
-    def __init__(self, name: str, value: np.ndarray, trainable: bool = True):
+    def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.tensor = Tensor(np.array(value, dtype=np.float64), requires_grad=trainable)
+        self.tensor = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
         self.tensor.grad = np.zeros_like(self.tensor.data)
-        self.trainable = trainable
 
     @property
     def data(self) -> np.ndarray:
@@ -629,10 +622,10 @@ class ParameterBag:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def register(self, name: str, value: np.ndarray, trainable: bool = True) -> Parameter:
+    def register(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        p = Parameter(name, value, trainable)
+        p = Parameter(name, value)
         self._params[name] = p
         return p
 

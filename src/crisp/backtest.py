@@ -22,13 +22,7 @@ import numpy as np
 
 from .allocation import PortfolioWeights, project_constraints, score_to_weights
 from .data import Universe, Window
-from .features import (
-    CRISIS_FEATURES,
-    N_FEATURES,
-    PAD,
-    FeatureNormalizer,
-    compute_features,
-)
+from .features import CRISIS_FEATURES, PAD, compute_features, feature_columns
 from .graphattn import AttentionRecord
 from .model import CrispModel, ModelConfig
 from .objectives import LossWeights, MetricSet, metrics
@@ -275,15 +269,9 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
                       train_config: TrainConfig,
                       loss_weights: LossWeights | None = None):
     """Feature-attach, optionally build static graphs, and run the trainer."""
+    columns = feature_columns(model_config.n_features)
     defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
-    indices = None
-    if model_config.n_features != N_FEATURES:
-        indices = [i for i in range(N_FEATURES) if i not in CRISIS_FEATURES]
-        if len(indices) != model_config.n_features:
-            raise ValueError(
-                f"model expects {model_config.n_features} features; "
-                f"dropping the crisis block leaves {len(indices)}")
-    attach_features(universe, train_windows, defensive, indices)
+    attach_features(universe, train_windows, defensive, columns)
 
     static = None
     if model_config.static_graph:
@@ -297,14 +285,12 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
 
 
 def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
-                   defensive_mask: np.ndarray, name: str = "CRISP",
-                   feature_indices: list[int] | None = None) -> Strategy:
+                   defensive_mask: np.ndarray, name: str = "CRISP") -> Strategy:
     """Strategy wrapping a trained model's best parameters."""
     model = CrispModel(checkpoint.model_config)
     model.load_state(checkpoint.best_params)
-    normalizer = FeatureNormalizer.from_state(
-        {"mean": checkpoint.normalizer["normalizer.mean"],
-         "std": checkpoint.normalizer["normalizer.std"]})
+    normalizer = checkpoint.feature_normalizer()
+    columns = feature_columns(checkpoint.model_config.n_features)
     window = checkpoint.model_config.window
     strat = Strategy(name, None, attention_log=[] if not checkpoint.model_config.static_graph else None)
 
@@ -316,8 +302,8 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
         lo, hi = start, start + PAD + window
         feats = compute_features(p_pad[:, lo:hi], v_pad[:, lo:hi], m_pad[lo:hi],
                                  defensive=defensive_mask)
-        if feature_indices is not None:
-            feats = feats[:, :, feature_indices]
+        if columns is not None:
+            feats = feats[:, :, columns]
         feats = normalizer.transform(feats)
         static = None
         if checkpoint.model_config.static_graph:
@@ -378,16 +364,10 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
             # fresh copies: windows cache features per roster width
             tw = [Window(w.start, w.end, w.end_date, w.target, w.regime)
                   for w in train_windows]
-            model, result = train_on_universe(
+            _, result = train_on_universe(
                 universe, book, prior, tw, cfg, train_config, loss_weights)
-            indices = None
-            if cfg.n_features == n_crisisless:
-                indices = [i for i in range(base.n_features) if i not in CRISIS_FEATURES]
-            strat = crisp_strategy(result.checkpoint, prior, defensive,
-                                   name=name, feature_indices=indices)
-        report = run_backtest(strat, universe,
-                              [Window(w.start, w.end, w.end_date, w.target, w.regime)
-                               for w in test_windows])
+            strat = crisp_strategy(result.checkpoint, prior, defensive, name=name)
+        report = run_backtest(strat, universe, test_windows)
         rows.append((name, report.metric_set))
     return rows
 

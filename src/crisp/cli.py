@@ -81,7 +81,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "n_features": ("int", N_FEATURES),
         "gat_heads": ("int", 4),
         "use_alloc_lstm": ("bool", True),
-        "per_step_graph": ("bool", True),
         "static_graph": ("bool", False),
         "init_seed": ("int", 0),
     },
@@ -105,7 +104,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "cvar_alpha": ("float", 0.05),
         "turnover_target": ("float", 0.02),
         "turnover_width": ("float", 0.01),
-        "literal_entropy_sign": ("bool", False),
     },
     "backtest": {
         "strategies": ("str", "crisp,equal_weight,mean_variance,risk_parity"),
@@ -283,8 +281,7 @@ def _model_config(cfg, universe: Universe) -> ModelConfig:
         n_assets=universe.n_assets, n_features=m["n_features"],
         window=cfg["data"]["window"], horizon=cfg["data"]["horizon"],
         gat_heads=m["gat_heads"], use_alloc_lstm=m["use_alloc_lstm"],
-        per_step_graph=m["per_step_graph"], static_graph=m["static_graph"],
-        init_seed=m["init_seed"])
+        static_graph=m["static_graph"], init_seed=m["init_seed"])
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -302,8 +299,7 @@ def _loss_weights(cfg) -> LossWeights:
         sharpe=w["sharpe"], sortino=w["sortino"], risk=w["risk"],
         diversification=w["diversification"], turnover=w["turnover"],
         risk_free_daily=w["risk_free_daily"], cvar_alpha=w["cvar_alpha"],
-        turnover_target=w["turnover_target"], turnover_width=w["turnover_width"],
-        literal_entropy_sign=w["literal_entropy_sign"])
+        turnover_target=w["turnover_target"], turnover_width=w["turnover_width"])
 
 
 def _prior(book: AssetBook, universe: Universe) -> PriorGraph:
@@ -411,13 +407,8 @@ def _build_strategies(cfg, book, universe, prior, checkpoint_path):
             if ck is None:
                 print("no checkpoint given; running baselines only")
                 continue
-            indices = None
-            if ck.model_config.n_features != N_FEATURES:
-                indices = [i for i in range(N_FEATURES)
-                           if i not in CRISIS_FEATURES]
             mask = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
-            strategies.append(crisp_strategy(ck, prior, mask,
-                                             feature_indices=indices))
+            strategies.append(crisp_strategy(ck, prior, mask))
         elif name == "equal_weight":
             strategies.append(equal_weight())
         elif name == "mean_variance":

@@ -100,9 +100,10 @@ def load_csv(path: str, tickers: list[str]) -> Universe:
     Dates are restricted to the calendar intersection: only days where every
     requested ticker has a row survive.  Rows with non-positive prices are
     dropped before alignment and counted in the error message if they
-    eliminate a ticker entirely.  A requested ticker's row with a non-finite
-    close or volume, a negative volume, or a second row for the same date
-    raises ``ValueError`` naming the file line, ticker and date.
+    eliminate a ticker entirely.  A requested ticker's row with an
+    unparseable or non-finite close or volume, a negative volume, or a
+    second row for the same date raises ``ValueError`` naming the file
+    line, ticker and date.
     """
     per_ticker: dict[str, dict[str, tuple[float, float]]] = {t: {} for t in tickers}
     dropped: set[tuple[str, str]] = set()      # rows with non-positive prices
@@ -120,7 +121,12 @@ def load_csv(path: str, tickers: list[str]) -> Universe:
             if date in series or (t, date) in dropped:
                 raise _row_error(path, reader.line_num, t, date,
                                  "duplicate row for this ticker and date")
-            close, volume = float(row["close"]), float(row["volume"])
+            try:
+                close, volume = float(row["close"]), float(row["volume"])
+            except (TypeError, ValueError):      # TypeError: a short row
+                raise _row_error(path, reader.line_num, t, date,
+                                 f"unparseable close {row['close']!r} or "
+                                 f"volume {row['volume']!r}") from None
             if not (math.isfinite(close) and math.isfinite(volume)):
                 raise _row_error(path, reader.line_num, t, date,
                                  f"non-finite close {close} or volume {volume}")

@@ -43,6 +43,7 @@ __all__ = [
     "amihud",
     "compute_features",
     "cvar",
+    "feature_columns",
     "rsi",
 ]
 
@@ -87,6 +88,22 @@ FEATURE_ROSTER: list[tuple[str, str, str]] = [
 
 N_FEATURES = len(FEATURE_ROSTER)
 CRISIS_FEATURES = [i for i, (_, cat, _) in enumerate(FEATURE_ROSTER) if cat == "crisis"]
+
+
+def feature_columns(n_features: int) -> list[int] | None:
+    """Roster columns a model with ``n_features`` inputs reads.
+
+    None for the full roster, the roster minus the crisis block for the
+    crisis-less ablation; any other width raises ``ValueError``.
+    """
+    if n_features == N_FEATURES:
+        return None
+    kept = [i for i in range(N_FEATURES) if i not in CRISIS_FEATURES]
+    if n_features != len(kept):
+        raise ValueError(
+            f"model expects {n_features} features; the roster has {N_FEATURES}, "
+            f"or {len(kept)} without the crisis block")
+    return kept
 
 
 # -- public scalar helpers ----------------------------------------------------

@@ -1,12 +1,12 @@
 """Full allocation model: temporal + spatial encoders, graph attention, head.
 
-The default route builds a per-step fused embedding sequence: the temporal
+The model builds a per-step fused embedding sequence: the temporal
 encoder's per-step projections are concatenated with the window-static
 spatial embedding, the graph attention refines every step, and the
-allocation LSTM consumes the refined sequence.  A pooled route (sequence
-length 1) and the ablation variants (single-head graph attention,
-mean-pool aggregation, static correlation graph, reduced feature set) are
-config switches so the trainer and backtester treat all of them uniformly.
+allocation LSTM consumes the refined sequence.  The ablation variants
+(single-head graph attention, mean-pool aggregation, static correlation
+graph, reduced feature set) are config switches so the trainer and
+backtester treat all of them uniformly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class ModelConfig:
     horizon: int = 5
     gat_heads: int = 4
     use_alloc_lstm: bool = True
-    per_step_graph: bool = True
     static_graph: bool = False
     init_seed: int = 0
 
@@ -97,15 +96,12 @@ class CrispModel:
         x = Tensor(features)
         prior = Tensor(prior_adjacency)
 
-        h_temp, h_step = self.temporal(x)
+        h_step = self.temporal(x)
         h_spat = self.spatial(Tensor(features.mean(axis=2)), prior)       # (B, N, 128)
 
-        if cfg.per_step_graph:
-            temp_seq = h_step.transpose((0, 2, 1, 3))                     # (B, T, N, 128)
-            spat_seq = h_spat.reshape(b, 1, n, 128).broadcast_to((b, steps, n, 128))
-            z_init = fuse(temp_seq, spat_seq)                             # (B, T, N, 256)
-        else:
-            z_init = fuse(h_temp, h_spat).reshape(b, 1, n, 256)
+        temp_seq = h_step.transpose((0, 2, 1, 3))                         # (B, T, N, 128)
+        spat_seq = h_spat.reshape(b, 1, n, 128).broadcast_to((b, steps, n, 128))
+        z_init = fuse(temp_seq, spat_seq)                                 # (B, T, N, 256)
 
         if cfg.static_graph:
             if static_adjacency is None:
@@ -116,8 +112,7 @@ class CrispModel:
             alphas_out = None
         else:
             refined, alphas = self.gat(z_init)
-            last = z_init.shape[1] - 1
-            alphas_out = np.stack([a.data[:, last] for a in alphas], axis=1)
+            alphas_out = np.stack([a.data[:, steps - 1] for a in alphas], axis=1)
 
         z_final = residual_combine(z_init, refined)
         weights = self.head(z_final, rng, training)

@@ -9,16 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    ParameterBag,
-    Tensor,
-    grad_enabled,
-    matmul,
-    uniform_init,
-)
+from .autodiff import ParameterBag, Tensor, grad_enabled, matmul, uniform_init
 
-__all__ = ["Linear", "LSTM", "MLP"]
+__all__ = ["Linear", "LSTM"]
 
 
 class Linear:
@@ -136,22 +129,3 @@ def _recurrence(xz: Tensor, wh: Tensor, reverse: bool) -> Tensor:
 
     return Tensor._from_op(out, (xz, wh), "lstm", bwd)
 
-
-class MLP:
-    """Stack of Linear layers with ReLU between them (none after the last)."""
-
-    def __init__(self, bag: ParameterBag, name: str, dims: list[int],
-                 rng: np.random.Generator):
-        if len(dims) < 2:
-            raise ValueError("MLP needs at least an input and an output dimension")
-        self.layers = [
-            Linear(bag, f"{name}.l{i}", dims[i], dims[i + 1], rng)
-            for i in range(len(dims) - 1)
-        ]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = x.relu()
-        return x

@@ -13,9 +13,9 @@ samples would be meaningless).  Every ratio carries an epsilon guard of
 
 The diversification term follows the stated intent of encouraging
 diversification: L_Div = sum_i w_i ln w_i (negative entropy), minimized at
-uniform weights with value -ln N.  A literal-sign switch flips it for
-comparison.  The turnover term rewards sum |dw| near the 2% target through
-a Gaussian kernel of width 0.01: L_Turn = -exp(-(turnover - 0.02)^2/0.01).
+uniform weights with value -ln N.  The turnover term rewards sum |dw| near
+the 2% target through a Gaussian kernel of width 0.01:
+L_Turn = -exp(-(turnover - 0.02)^2/0.01).
 
 Evaluation metrics are plain numpy: annualization by sqrt(252), sample
 std (ddof=1), drawdown measured on the compounded equity curve starting
@@ -63,7 +63,6 @@ class LossWeights:
     cvar_alpha: float = 0.05
     turnover_target: float = 0.02
     turnover_width: float = 0.01
-    literal_entropy_sign: bool = False   # True flips L_Div to -sum w ln w
 
     def __post_init__(self):
         for name in ("sharpe", "sortino", "risk", "diversification", "turnover"):
@@ -154,11 +153,10 @@ def l_risk(period_returns: Tensor, alpha: float = 0.05) -> Tensor:
     return _cvar_term(pooled, alpha) + 0.5 * _per_sample_maxdd(period_returns).mean()
 
 
-def l_div(weights: Tensor, literal_sign: bool = False) -> Tensor:
+def l_div(weights: Tensor) -> Tensor:
     """Negative entropy sum w ln w, batch-averaged; minimal at uniform weights."""
     ent = (weights * weights.log()).sum(axis=-1)
-    term = ent.mean() if ent.ndim > 0 else ent
-    return -term if literal_sign else term
+    return ent.mean() if ent.ndim > 0 else ent
 
 
 def l_turn(w_new: Tensor, w_old: Tensor, target: float = 0.02,
@@ -193,7 +191,7 @@ def loss_from_batch(weights: Tensor, previous_weights: np.ndarray,
     total = (lw.sharpe * l_sharpe(pooled, lw.risk_free_daily)
              + lw.sortino * l_sortino(pooled, lw.risk_free_daily)
              + lw.risk * l_risk(period, lw.cvar_alpha)
-             + lw.diversification * l_div(weights, lw.literal_entropy_sign)
+             + lw.diversification * l_div(weights)
              + lw.turnover * l_turn(weights, Tensor(np.asarray(previous_weights)),
                                     lw.turnover_target, lw.turnover_width))
     return total

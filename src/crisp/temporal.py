@@ -1,11 +1,10 @@
-"""Per-asset temporal encoder: BiLSTM, time attention, dual pooling.
+"""Per-asset temporal encoder: BiLSTM, time attention, per-step projection.
 
 Each asset's T-day feature sequence runs through a bidirectional LSTM (128
 units per direction), 4-head scaled dot-product self-attention over the
 time axis (64 dims per head, concatenated and projected back to 256), and
-a pooling stage concatenating the time mean with the final step (512 dims)
-projected to a 128-dim embedding.  A separate shared 256->128 projection
-exposes per-step embeddings for the downstream per-step graph route.
+a shared 256->128 projection giving one embedding per step for the
+downstream graph attention.
 
 Assets are independent here: the batch and asset axes are flattened
 together, so permuting assets permutes outputs identically.
@@ -42,7 +41,9 @@ class TemporalEncoder:
         self.wk = bag.register("temporal.attn_k", uniform_init(rng, _MODEL, (_MODEL, _MODEL)))
         self.wv = bag.register("temporal.attn_v", uniform_init(rng, _MODEL, (_MODEL, _MODEL)))
         self.w_out = bag.register("temporal.attn_out", uniform_init(rng, _MODEL, (_MODEL, _MODEL)))
-        self.pool_proj = Linear(bag, "temporal.pool_proj", 2 * _MODEL, 128, rng, bias=False)
+        # draw (and drop) the removed pooled projection's weights so every
+        # later parameter keeps the initial values it had for a given seed
+        uniform_init(rng, 2 * _MODEL, (2 * _MODEL, 128))
         self.step_proj = Linear(bag, "temporal.step_proj", _MODEL, 128, rng, bias=False)
 
     def bilstm(self, x: Tensor) -> Tensor:
@@ -68,17 +69,11 @@ class TemporalEncoder:
             return out, weights
         return out
 
-    def pool(self, h_attn: Tensor) -> Tensor:
-        """(B*N, T, 256) -> (B*N, 128): [time mean ; last step] projected."""
-        steps = h_attn.shape[1]
-        pooled = concat([h_attn.mean(axis=1), h_attn[:, steps - 1, :]], axis=1)
-        return self.pool_proj(pooled)
-
     def __call__(self, x: Tensor, return_weights: bool = False):
-        """(B, N, T, F) -> (h_temp (B, N, 128), h_step (B, N, T, 128)).
+        """(B, N, T, F) -> h_step (B, N, T, 128), the per-step embeddings.
 
-        ``h_temp`` is the pooled per-asset embedding; ``h_step`` carries the
-        shared per-step projection of the attention output.
+        With ``return_weights=True`` the time-attention weights
+        (B*N, heads, T, T) come back as a second value.
         """
         b, n, steps, feats = x.shape
         flat = x.reshape(b * n, steps, feats)
@@ -87,8 +82,7 @@ class TemporalEncoder:
             h_attn, weights = self.self_attention(h_bi, return_weights=True)
         else:
             h_attn = self.self_attention(h_bi)
-        h_temp = self.pool(h_attn).reshape(b, n, 128)
         h_step = self.step_proj(h_attn).reshape(b, n, steps, 128)
         if return_weights:
-            return h_temp, h_step, weights
-        return h_temp, h_step
+            return h_step, weights
+        return h_step

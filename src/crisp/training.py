@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .data import Window
 from .features import FeatureNormalizer
 from .model import CrispModel, ModelConfig
@@ -132,6 +132,12 @@ class Checkpoint:
     def config_hash(self) -> str:
         return self.model_config.config_hash()
 
+    def feature_normalizer(self) -> FeatureNormalizer:
+        """The normalizer fitted on the training split, rebuilt from its state."""
+        return FeatureNormalizer.from_state(
+            {"mean": self.normalizer["normalizer.mean"],
+             "std": self.normalizer["normalizer.std"]})
+
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     sections = [
@@ -189,6 +195,13 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(f"truncated checkpoint: array {meta['name']!r}")
             tables[meta["section"]][meta["name"]] = (
                 np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+    stored, known = set(header["config"]), {f.name for f in fields(ModelConfig)}
+    if stored != known:
+        unknown, missing = sorted(stored - known), sorted(known - stored)
+        raise ValueError(
+            f"{path}: config keys differ from ModelConfig's fields"
+            + (f"; unknown {unknown}" if unknown else "")
+            + (f"; missing {missing}" if missing else ""))
     config = ModelConfig(**header["config"])
     expected = config.config_hash()
     if header["config_hash"] != expected:
@@ -270,9 +283,7 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
         best_params = model.state()
     else:
         ck = resume_from
-        normalizer = FeatureNormalizer.from_state(
-            {"mean": ck.normalizer["normalizer.mean"],
-             "std": ck.normalizer["normalizer.std"]})
+        normalizer = ck.feature_normalizer()
         model.load_state(ck.last_params)
         adam = AdamState(m={k: v.copy() for k, v in ck.adam_m.items()},
                          v={k: v.copy() for k, v in ck.adam_v.items()},

@@ -51,7 +51,7 @@ from crisp.backtest import (
     train_on_universe,
 )
 from crisp.data import RegimeConfig, Window, generate_synthetic, make_windows
-from crisp.features import FeatureNormalizer, cvar
+from crisp.features import cvar
 from crisp.graphattn import AttentionRecord
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import l_div, l_turn, loss_from_batch, metrics
@@ -235,7 +235,7 @@ def test_02_normalization_invariants():
     enc = TemporalEncoder(ParameterBag(), 9, np.random.default_rng(0))
     for _ in range(33):
         x = Tensor(gen.standard_normal((2, 3, 5, 9)))
-        _, _, attn = enc(x, return_weights=True)
+        _, attn = enc(x, return_weights=True)
         worst = max(worst, float(np.abs(attn.data.sum(axis=-1) - 1.0).max()))
 
     model = CrispModel(ModelConfig(n_assets=6, n_features=9, window=5, init_seed=1))
@@ -508,10 +508,7 @@ def test_09_synthetic_end_to_end(book):
     def eval_train_loss(ck, train_windows):
         model = CrispModel(ck.model_config)
         model.load_state(ck.best_params)
-        nz = FeatureNormalizer.from_state(
-            {"mean": ck.normalizer["normalizer.mean"],
-             "std": ck.normalizer["normalizer.std"]})
-        x = nz.transform(np.stack([w.features for w in train_windows]))
+        x = ck.feature_normalizer().transform(np.stack([w.features for w in train_windows]))
         targets = np.stack([w.target for w in train_windows])
         prev = np.full((len(train_windows), len(tickers)), 1.0 / len(tickers))
         w, _ = model.forward(x, prior.normalized, np.random.default_rng(0),

@@ -66,6 +66,14 @@ def test_load_csv_rejects_nonfinite_values(tmp_path, close, volume):
         load_csv(write_csv(tmp_path, rows), ["AAA"])
 
 
+@pytest.mark.parametrize("bad_row", ["2020-01-02,AAA,abc,1", "2020-01-02,AAA,10,1e",
+                                     "2020-01-02,AAA,10"])
+def test_load_csv_rejects_unparseable_numbers(tmp_path, bad_row):
+    rows = ["2020-01-01,AAA,10,1", bad_row, "2020-01-03,AAA,11,1"]
+    with pytest.raises(ValueError, match=r"line 3 \(AAA on 2020-01-02\).*unparseable"):
+        load_csv(write_csv(tmp_path, rows), ["AAA"])
+
+
 def test_load_csv_rejects_negative_volume(tmp_path):
     rows = [f"2020-01-0{d},AAA,10,1" for d in (1, 2)] + ["2020-01-03,AAA,11,-4"]
     with pytest.raises(ValueError, match=r"line 4 \(AAA on 2020-01-03\).*negative volume"):

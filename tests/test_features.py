@@ -14,6 +14,7 @@ from crisp.features import (
     amihud,
     compute_features,
     cvar,
+    feature_columns,
     roster_csv,
     rsi,
 )
@@ -48,6 +49,14 @@ def test_roster_is_31_features_with_expected_categories():
                              "market_breadth", "market_beta_20")] == CRISIS_FEATURES
     text = roster_csv()
     assert text.count("\n") == N_FEATURES + 1  # header + rows
+
+
+def test_feature_columns_follow_the_model_width():
+    assert feature_columns(N_FEATURES) is None
+    kept = feature_columns(N_FEATURES - len(CRISIS_FEATURES))
+    assert kept == sorted(set(range(N_FEATURES)) - set(CRISIS_FEATURES))
+    with pytest.raises(ValueError, match="30 features"):
+        feature_columns(30)
 
 
 def test_cvar_brute_force(rng):

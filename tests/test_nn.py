@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crisp.autodiff import ParameterBag, Tensor, concat, matmul, no_grad
-from crisp.nn import LSTM, MLP, Linear, _recurrence
+from crisp.nn import LSTM, Linear, _recurrence
 
 from _gradcheck import max_rel_error
 
@@ -169,13 +169,3 @@ def test_lstm_parameter_gradients_flow(rng):
     for name in ("cell.wx", "cell.wh", "cell.b"):
         assert np.abs(bag[name].tensor.grad).max() > 0.0
 
-
-def test_mlp_structure_and_relu(rng):
-    bag = ParameterBag()
-    mlp = MLP(bag, "head", [4, 8, 2], rng)
-    x = rng.standard_normal((3, 4))
-    h = np.maximum(x @ bag["head.l0.w"].data + bag["head.l0.b"].data, 0.0)
-    want = h @ bag["head.l1.w"].data + bag["head.l1.b"].data
-    assert np.allclose(mlp(Tensor(x)).data, want, atol=1e-12)
-    with pytest.raises(ValueError, match="at least"):
-        MLP(ParameterBag(), "bad", [4], rng)

@@ -48,7 +48,6 @@ def test_turnover_at_target_scores_minus_one():
 def test_diversification_uniform_is_minus_log_n():
     w = Tensor(np.full((1, 13), 1.0 / 13))
     assert np.isclose(l_div(w).data, -math.log(13), atol=1e-12, rtol=0)
-    assert np.isclose(l_div(w, literal_sign=True).data, math.log(13), atol=1e-12, rtol=0)
 
 
 def test_diversification_ordering(rng):

@@ -1,4 +1,4 @@
-"""Temporal encoder: BiLSTM composition, attention algebra, pooling."""
+"""Temporal encoder: BiLSTM composition, attention algebra, per-step output."""
 
 import numpy as np
 import pytest
@@ -18,8 +18,7 @@ def make_encoder(rng, n_features=6, n_heads=4):
 def test_output_shapes(rng):
     bag, enc = make_encoder(rng)
     x = Tensor(0.1 * rng.standard_normal((2, 3, 5, 6)))
-    h_temp, h_step = enc(x)
-    assert h_temp.shape == (2, 3, 128)
+    h_step = enc(x)
     assert h_step.shape == (2, 3, 5, 128)
 
 
@@ -75,38 +74,28 @@ def test_attention_matches_manual_numpy(rng):
     assert np.allclose(out, expected, atol=1e-10)
 
 
-def test_pool_concatenates_mean_and_last_step(rng):
-    bag, enc = make_encoder(rng)
-    h = rng.standard_normal((3, 6, 256))
-    pooled = enc.pool(Tensor(h)).data
-    manual = np.concatenate([h.mean(axis=1), h[:, -1, :]], axis=1)
-    assert np.allclose(pooled, manual @ enc.pool_proj.w.data, atol=1e-12)
-
-
 def test_assets_are_independent(rng):
     bag, enc = make_encoder(rng)
     x = 0.1 * rng.standard_normal((1, 4, 5, 6))
-    h_temp, h_step = enc(Tensor(x))
+    h_step = enc(Tensor(x))
     perm = [2, 0, 3, 1]
-    h_temp_p, h_step_p = enc(Tensor(x[:, perm]))
-    assert np.allclose(h_temp_p.data, h_temp.data[:, perm], atol=1e-12)
+    h_step_p = enc(Tensor(x[:, perm]))
     assert np.allclose(h_step_p.data, h_step.data[:, perm], atol=1e-12)
 
 
 def test_batch_rows_are_independent(rng):
     bag, enc = make_encoder(rng)
     x = 0.1 * rng.standard_normal((2, 3, 4, 6))
-    h_temp, _ = enc(Tensor(x))
-    solo, _ = enc(Tensor(x[1:]))
-    assert np.allclose(h_temp.data[1], solo.data[0], atol=1e-12)
+    h_step = enc(Tensor(x))
+    solo = enc(Tensor(x[1:]))
+    assert np.allclose(h_step.data[1], solo.data[0], atol=1e-12)
 
 
 def test_temporal_gradcheck_small(rng):
     bag, enc = make_encoder(rng, n_features=3)
 
     def build(xs):
-        h_temp, h_step = enc(xs[0])
-        return h_temp.sum() + h_step.sum()
+        return enc(xs[0]).sum()
 
     err = max_rel_error(build, [(1, 2, 3, 3)], rng, scale=0.3)
     assert err < 1e-6
@@ -115,8 +104,7 @@ def test_temporal_gradcheck_small(rng):
 def test_parameters_all_receive_gradients(rng):
     bag, enc = make_encoder(rng)
     x = Tensor(0.1 * rng.standard_normal((1, 2, 4, 6)))
-    h_temp, h_step = enc(x)
-    (h_temp.sum() + h_step.sum()).backward()
+    enc(x).sum().backward()
     for name in bag.names():
         grad = bag[name].grad
         assert grad is not None and np.abs(grad).max() > 0.0, name

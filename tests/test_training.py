@@ -1,6 +1,8 @@
 """Optimizer, schedule, checkpoint container, and the training loop."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from crisp.autodiff import Parameter
 from crisp.backtest import attach_features
 from crisp.data import make_windows
 from crisp.model import CrispModel, ModelConfig
+from crisp.objectives import loss_from_batch
 from crisp.training import (
     AdamState,
     TrainConfig,
@@ -177,7 +180,64 @@ def test_checkpoint_config_hash_mismatch_rejected(trained, tmp_path):
         load_checkpoint(str(p))
 
 
+def _rewrite_config(path, edit):
+    """Apply ``edit`` to the header's config dict, keeping the arrays as they are."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[12:20])
+    header = json.loads(data[20:20 + hlen])
+    edit(header["config"])
+    raw = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(data[:12] + struct.pack("<Q", len(raw)) + raw + data[20 + hlen:])
+
+
+@pytest.mark.parametrize("edit,match", [
+    # every checkpoint written while the pooled route existed carries this key
+    (lambda c: c.update(per_step_graph=True), r"unknown \['per_step_graph'\]"),
+    (lambda c: c.pop("gat_heads"), r"missing \['gat_heads'\]"),
+], ids=["unknown_key", "missing_key"])
+def test_checkpoint_config_keys_must_match_model_config(trained, tmp_path, edit, match):
+    _, result = trained
+    p = tmp_path / "k.bin"
+    save_checkpoint(result.checkpoint, str(p))
+    _rewrite_config(p, edit)
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(str(p))
+
+
+def test_checkpoint_feature_normalizer(trained, windows):
+    _, result = trained
+    nz = result.checkpoint.feature_normalizer()
+    x = windows[0].features
+    want = ((x - result.checkpoint.normalizer["normalizer.mean"])
+            / result.checkpoint.normalizer["normalizer.std"])
+    assert np.array_equal(nz.transform(x), want)
+
+
 # -- training loop ------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", [
+    {}, {"static_graph": True}, {"gat_heads": 1}, {"use_alloc_lstm": False},
+    {"n_features": 27},
+], ids=["default", "static_graph", "single_head", "no_alloc_lstm", "no_crisis"])
+def test_training_step_reaches_every_parameter(prior, variant):
+    gen = np.random.default_rng(7)
+    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    b, n, steps = 4, model.config.n_assets, 6
+    x = gen.standard_normal((b, n, steps, model.config.n_features))
+    static = None
+    if model.config.static_graph:
+        adj = np.abs(gen.standard_normal((b, n, n)))
+        static = adj / adj.sum(axis=-1, keepdims=True)
+    weights, _ = model.forward(x, prior.normalized, gen, training=True,
+                               static_adjacency=static)
+    prev = np.full((b, n), 1.0 / n)
+    loss_from_batch(weights, prev, 0.02 * gen.standard_normal((b, n, 5))).backward()
+    grads = {p.name: np.abs(p.grad).max() for p in model.parameters()}
+    # the score bias shifts every asset's score alike, and the softmax over
+    # assets cancels a common shift, so its gradient is zero up to rounding
+    assert grads.pop("alloc.mlp_out.b") < 1e-12
+    assert [name for name, g in grads.items() if not g > 1e-12] == []
+
 
 def test_training_is_deterministic(windows, prior):
     runs = []
