@@ -1,6 +1,7 @@
 """Allocation head: sequence aggregation, scoring, and constrained weights.
 
-Per-asset refined embeddings over the window's T steps are aggregated by a
+Per-asset refined embeddings over the window's T steps, each the step's
+temporal half joined with the window's spatial half, are aggregated by a
 shared compact LSTM (hidden 32), scored by a dropout MLP (32 -> 64 -> 1),
 sharpened by a temperature-0.8 softmax and projected onto the feasible set
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterBag, Tensor, dropout, softmax
+from .autodiff import ParameterBag, Tensor, concat, dropout, softmax
 from .nn import LSTM, Linear
 
 __all__ = [
@@ -160,17 +161,22 @@ class AllocationHead:
             # mean-pool ablation: project the time-averaged embedding instead
             self.pool_proj = Linear(bag, "alloc.pool_proj", in_dim, hidden, rng)
         self.mlp_hidden = Linear(bag, "alloc.mlp_hidden", hidden, 64, rng)
-        self.mlp_out = Linear(bag, "alloc.mlp_out", 64, 1, rng)
+        # no bias: the softmax over assets cancels a shift shared by all scores
+        self.mlp_out = Linear(bag, "alloc.mlp_out", 64, 1, rng, bias=False)
 
-    def aggregate(self, z_seq: Tensor) -> Tensor:
-        """(B, T, N, 256) per-step embeddings -> (B, N, 32) per-asset states."""
-        b, steps, n, dim = z_seq.shape
-        per_asset = z_seq.transpose((0, 2, 1, 3)).reshape(b * n, steps, dim)
+    def aggregate(self, temp: Tensor, spat: Tensor) -> Tensor:
+        """temp (B, T, N, d_t), spat (B, N, d_s) -> (B, N, 32) per-asset states.
+
+        Step t of asset i reads [temp[b, t, i] || spat[b, i]], d_t + d_s =
+        in_dim; the spatial half is never copied across time.
+        """
+        b, steps, n, dim = temp.shape
+        per_asset = temp.transpose((0, 2, 1, 3)).reshape(b * n, steps, dim)
+        flat_spat = spat.reshape(b * n, spat.shape[-1])
         if self.use_lstm:
-            h_all = self.lstm.run(per_asset)
-            final = h_all[:, steps - 1, :]
+            final = self.lstm.run_joined(per_asset, flat_spat)[:, steps - 1, :]
         else:
-            final = self.pool_proj(per_asset.mean(axis=1))
+            final = self.pool_proj(concat([per_asset.mean(axis=1), flat_spat], axis=1))
         return final.reshape(b, n, self.hidden)
 
     def scores(self, agg: Tensor, rng: np.random.Generator,
@@ -180,9 +186,9 @@ class AllocationHead:
         h = dropout(h, self.dropout_rate, rng, training)
         return self.mlp_out(h).reshape(agg.shape[0], agg.shape[1])
 
-    def __call__(self, z_seq: Tensor, rng: np.random.Generator,
+    def __call__(self, temp: Tensor, spat: Tensor, rng: np.random.Generator,
                  training: bool) -> Tensor:
-        """(B, T, N, 256) -> feasible weights (B, N), differentiable."""
-        raw = self.scores(self.aggregate(z_seq), rng, training)
+        """temp (B, T, N, d_t), spat (B, N, d_s) -> feasible weights (B, N)."""
+        raw = self.scores(self.aggregate(temp, spat), rng, training)
         w = softmax(raw, axis=-1, temperature=TEMPERATURE)
         return project_constraints_tensor(w)

@@ -652,6 +652,8 @@ class ParameterBag:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy every parameter from ``state``, which must hold exactly the
+        bag's names and shapes; on any mismatch it raises and loads nothing."""
         for name, p in self._params.items():
             if name not in state:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")
@@ -659,6 +661,10 @@ class ParameterBag:
                 raise ValueError(
                     f"parameter {name!r}: checkpoint shape {state[name].shape} "
                     f"does not match model shape {p.data.shape}")
+        stale = [name for name in state if name not in self._params]
+        if stale:
+            raise ValueError(f"checkpoint has entries with no model parameter: {stale}")
+        for name, p in self._params.items():
             p.tensor.data = np.array(state[name], dtype=np.float64)
             p.tensor.grad = np.zeros_like(p.tensor.data)
 

@@ -1,14 +1,18 @@
 """Learnable sparse graph: multi-head attention over all asset pairs.
 
 Every ordered pair of the N assets is a candidate edge (N(N-1) = 156
-directed off-diagonal edges at N=13).  Per head k, edge scores are
+directed off-diagonal edges at N=13).  Each asset's input at a time step
+is z = [temporal || spatial], the step's 128-wide temporal embedding joined
+with the window's spatial one.  Per head k, edge scores are
 
     e_ij = LeakyReLU(a_k^T [W_k z_i || W_k z_j])
 
 softmax-normalized over j (self-edge included for stability; excluded
 from all telemetry), and refined embeddings concatenate the per-head
-attention-weighted sums.  No hard threshold is applied anywhere; sparsity
-is an emergent, reported property.
+attention-weighted sums.  The spatial half is the same at every step, so
+W z is computed as temporal @ W_top + spatial @ W_bottom with the second
+term broadcast over time; the joined input is never built.  No hard
+threshold is applied anywhere; sparsity is an emergent, reported property.
 
 Telemetry bins the head-mean off-diagonal weights as low < 0.1,
 mid 0.1..0.3 (inclusive), high > 0.3; per-head bins are also emitted but
@@ -23,24 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParameterBag, Tensor, concat, leaky_relu, matmul, softmax, uniform_init
+from .nn import joined_matmul
 
 __all__ = [
     "AttentionRecord",
     "GatLayer",
     "SparsityReport",
-    "fuse",
-    "residual_combine",
     "sparsity_report",
 ]
 
 EDGE_THRESHOLD_LOW = 0.1
 EDGE_THRESHOLD_HIGH = 0.3
 _REFINED = 128
-
-
-def fuse(h_temp: Tensor, h_spat: Tensor) -> Tensor:
-    """Concatenate temporal and spatial embeddings along the last axis."""
-    return concat([h_temp, h_spat], axis=h_temp.ndim - 1)
 
 
 class GatLayer:
@@ -59,38 +57,28 @@ class GatLayer:
                                                          (2 * self.head_dim,)))
                   for k in range(n_heads)]
 
-    def __call__(self, z: Tensor) -> tuple[Tensor, list[Tensor]]:
-        """(..., N, 256) -> (refined (..., N, 128), per-head alphas (..., N, N)).
+    def __call__(self, temp: Tensor, spat: Tensor) -> tuple[Tensor, Tensor]:
+        """temp (B, T, N, d_t), spat (B, N, d_s) -> refined (B, T, N, 128), alphas.
 
-        Leading axes batch over windows and time steps; attention is
-        computed within each (..., N)-slice independently.
+        The input of asset i at step t is [temp[b, t, i] || spat[b, i]], with
+        d_t + d_s = in_dim.  Alphas come back as (B, T, heads, N, N);
+        attention is computed within each (b, t) slice independently.
         """
-        n = z.shape[-2]
+        b, steps, n, _ = temp.shape
         if n < 2:
             raise ValueError(f"graph attention needs at least 2 assets, got {n}")
-        refined_heads = []
-        alphas = []
-        lead = z.ndim - 2
-        for k in range(self.n_heads):
-            wz = matmul(z, self.w[k].tensor)                       # (..., N, hd)
-            a_vec = self.a[k].tensor
-            hd = self.head_dim
-            src = (wz * a_vec[:hd].reshape(*([1] * lead), 1, hd)).sum(axis=-1)
-            dst = (wz * a_vec[hd:].reshape(*([1] * lead), 1, hd)).sum(axis=-1)
-            # src_i + dst_j over all ordered pairs
-            shape = src.shape
-            e = src.reshape(*shape, 1) + dst.reshape(*shape[:-1], 1, n)
-            alpha = softmax(leaky_relu(e, self.slope), axis=-1)    # (..., N, N)
-            refined_heads.append(matmul(alpha, wz))
-            alphas.append(alpha)
-        return concat(refined_heads, axis=z.ndim - 1), alphas
-
-
-def residual_combine(z_init: Tensor, refined: Tensor) -> Tensor:
-    """z_final = z_init + 0.5 * [refined || 0]; pad restores the 256 width."""
-    pad_width = z_init.shape[-1] - refined.shape[-1]
-    zeros = Tensor(np.zeros(refined.shape[:-1] + (pad_width,)))
-    return z_init + 0.5 * concat([refined, zeros], axis=refined.ndim - 1)
+        heads, hd = self.n_heads, self.head_dim
+        w = concat([p.tensor for p in self.w], axis=1)             # (in_dim, 128)
+        wz = joined_matmul(temp, spat, w)                          # (B, T, N, 128)
+        wz = wz.reshape(b, steps, n, heads, hd).transpose((0, 1, 3, 2, 4))
+        a = concat([p.tensor for p in self.a]).reshape(heads, 1, 2 * hd)
+        src = (wz * a[:, :, :hd]).sum(axis=-1)                     # (B, T, heads, N)
+        dst = (wz * a[:, :, hd:]).sum(axis=-1)
+        # src_i + dst_j over all ordered pairs
+        e = src.reshape(b, steps, heads, n, 1) + dst.reshape(b, steps, heads, 1, n)
+        alpha = softmax(leaky_relu(e, self.slope), axis=-1)        # (B, T, heads, N, N)
+        refined = matmul(alpha, wz).transpose((0, 1, 3, 2, 4))
+        return refined.reshape(b, steps, n, _REFINED), alpha
 
 
 @dataclass

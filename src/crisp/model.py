@@ -1,12 +1,15 @@
 """Full allocation model: temporal + spatial encoders, graph attention, head.
 
-The model builds a per-step fused embedding sequence: the temporal
-encoder's per-step projections are concatenated with the window-static
-spatial embedding, the graph attention refines every step, and the
-allocation LSTM consumes the refined sequence.  The ablation variants
-(single-head graph attention, mean-pool aggregation, static correlation
-graph, reduced feature set) are config switches so the trainer and
-backtester treat all of them uniformly.
+Each asset's embedding at step t is the temporal encoder's per-step
+projection joined with the window's spatial embedding, [temp_t || spat].
+The graph attention refines every step; the residual adds half the
+refinement to the temporal half, and the allocation LSTM consumes the
+refined sequence.  The spatial half is the same at every step, so it is
+never copied across time: every map that reads the joined embedding splits
+its weight rows and adds the spatial term once per window.  The ablation
+variants (single-head graph attention, mean-pool aggregation, static
+correlation graph, reduced feature set) are config switches so the trainer
+and backtester treat all of them uniformly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 
 from .allocation import AllocationHead
 from .autodiff import ParameterBag, Tensor, matmul, no_grad, uniform_init
-from .graphattn import GatLayer, fuse, residual_combine
+from .graphattn import GatLayer
+from .nn import joined_matmul
 from .spatial import SpatialEncoder
 from .temporal import TemporalEncoder
 
@@ -96,26 +100,24 @@ class CrispModel:
         x = Tensor(features)
         prior = Tensor(prior_adjacency)
 
-        h_step = self.temporal(x)
-        h_spat = self.spatial(Tensor(features.mean(axis=2)), prior)       # (B, N, 128)
-
-        temp_seq = h_step.transpose((0, 2, 1, 3))                         # (B, T, N, 128)
-        spat_seq = h_spat.reshape(b, 1, n, 128).broadcast_to((b, steps, n, 128))
-        z_init = fuse(temp_seq, spat_seq)                                 # (B, T, N, 256)
+        h_step = self.temporal(x)                                         # (B, N, T, 128)
+        spat = self.spatial(Tensor(features.mean(axis=2)), prior)         # (B, N, 128)
+        temp = h_step.transpose((0, 2, 1, 3))                             # (B, T, N, 128)
 
         if cfg.static_graph:
             if static_adjacency is None:
                 raise ValueError("static-graph variant requires per-window adjacencies")
             adj = Tensor(np.asarray(static_adjacency, dtype=np.float64)
                          .reshape(b, 1, n, n))
-            refined = matmul(adj, matmul(z_init, self.w_static.tensor)).relu()
+            refined = matmul(adj, joined_matmul(temp, spat, self.w_static.tensor)).relu()
             alphas_out = None
         else:
-            refined, alphas = self.gat(z_init)
-            alphas_out = np.stack([a.data[:, steps - 1] for a in alphas], axis=1)
+            refined, alphas = self.gat(temp, spat)
+            alphas_out = alphas.data[:, steps - 1].copy()
 
-        z_final = residual_combine(z_init, refined)
-        weights = self.head(z_final, rng, training)
+        # residual on the temporal half; the spatial half passes through
+        temp_final = temp + 0.5 * refined
+        weights = self.head(temp_final, spat, rng, training)
         return weights, alphas_out
 
     def allocate(self, features: np.ndarray, prior_adjacency: np.ndarray,

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParameterBag, Tensor, grad_enabled, matmul, uniform_init
+from .autodiff import ParameterBag, Tensor, _unbroadcast, grad_enabled, matmul, uniform_init
 
-__all__ = ["Linear", "LSTM"]
+__all__ = ["Linear", "LSTM", "joined_matmul"]
 
 
 class Linear:
@@ -29,16 +29,27 @@ class Linear:
         return y
 
 
+def joined_matmul(temp: Tensor, spat: Tensor, w: Tensor) -> Tensor:
+    """[temp_t || spat] @ w at every step t, without building the joined input.
+
+    temp (B, T, N, d_t), spat (B, N, d_s), w (d_t + d_s, out) -> (B, T, N, out).
+    The spatial term is computed once per window and broadcast over T.
+    """
+    b, _, n, split = temp.shape
+    return matmul(temp, w[:split]) + matmul(spat, w[split:]).reshape(b, 1, n, w.shape[1])
+
+
 class LSTM:
     """Single-layer LSTM with packed gates, run as one autodiff node.
 
-    The input-side gate projection for all steps is one (in -> 4H) matmul;
-    the recurrence then runs as a single graph node tagged ``lstm`` whose
-    forward adds the (H -> 4H) recurrent projection step by step and whose
-    backward is a hand-written backpropagation through time.  The 4H axis
-    splits into input, forget, cell and output gates in that order.  The
-    node saves the gate activations and cell states only when grad is on
-    and a parent requires it, so a no-grad forward keeps one step's worth.
+    The whole sequence runs as a single graph node tagged ``lstm`` that owns
+    the input projection: it writes ``x @ wx + b`` for all steps into one
+    (B, T, 4H) buffer, adds the (H -> 4H) recurrent projection step by step
+    and overwrites the buffer with the gate activations; its backward is a
+    hand-written backpropagation through time.  The 4H axis splits into
+    input, forget, cell and output gates in that order.  The node keeps the
+    gate buffer and the cell states only when grad is on and a parent
+    requires it.
     """
 
     def __init__(self, bag: ParameterBag, name: str, in_dim: int, hidden_dim: int,
@@ -55,43 +66,58 @@ class LSTM:
         With ``reverse=True`` the sequence is consumed right to left and the
         output is re-aligned so row t still describes timestep t.
         """
-        xz = matmul(x, self.wx.tensor) + self.b.tensor      # (B, T, 4H)
-        return _recurrence(xz, self.wh.tensor, reverse)
+        return _recurrence(x, self.wx.tensor, self.b.tensor, self.wh.tensor, reverse)
+
+    def run_joined(self, temp: Tensor, spat: Tensor) -> Tensor:
+        """Forward run over [temp_t || spat]: temp (B, T, d_t), spat (B, d_s) -> (B, T, H).
+
+        The time-constant part enters once per sequence, as the gate bias
+        ``spat @ wx[d_t:] + b``; the joined input is never built.
+        """
+        split = temp.shape[-1]
+        wx = self.wx.tensor
+        bias = (matmul(spat, wx[split:]) + self.b.tensor).reshape(spat.shape[0], 1, -1)
+        return _recurrence(temp, wx[:split], bias, self.wh.tensor, reverse=False)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _recurrence(xz: Tensor, wh: Tensor, reverse: bool) -> Tensor:
-    """LSTM recurrence over input-side pre-activations xz (B, T, 4H).
+def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) -> Tensor:
+    """LSTM over inputs x (B, T, in): gates ``x_t @ wx + bias + h @ wh``.
 
-    Each step does the arithmetic of the per-step op composition in the same
-    order (``z = xz_t + h @ wh``, then ``c = f*c + i*g``, ``h = o*tanh(c)``),
-    so the output is bitwise equal to it; ``composed_lstm`` in the tests is
-    that reference.
+    ``bias`` is any shape that broadcasts against (B, T, 4H): the (4H,)
+    gate bias, or a per-sequence (B, 1, 4H) one that carries a
+    time-constant input's projection.  Each step does the arithmetic of the
+    per-step op composition in the same order (``z = xz_t + h @ wh``, then
+    ``c = f*c + i*g``, ``h = o*tanh(c)``), so the output is bitwise equal to
+    it; ``composed_lstm`` in the tests is that reference.
     """
-    batch, steps, width = xz.shape
+    batch, steps, in_dim = x.shape
+    width = wx.shape[1]
     hd = width // 4
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    keep = grad_enabled() and (xz.requires_grad or wh.requires_grad)
-    gates = np.empty((batch, steps, width)) if keep else None
+    parents = (x, wx, bias, wh)
+    keep = grad_enabled() and any(p.requires_grad for p in parents)
+    x2 = x.data.reshape(-1, in_dim)
+    gates = (x2 @ wx.data).reshape(batch, steps, width)
+    gates += bias.data
     cells = np.empty((batch, steps, hd)) if keep else None
     out = np.empty((batch, steps, hd))
     h = np.zeros((batch, hd))
     c = np.zeros((batch, hd))
     for t in order:
-        z = xz.data[:, t] + h @ wh.data
+        z = gates[:, t]
+        z += h @ wh.data
+        z[:, :2 * hd] = _sigmoid(z[:, :2 * hd])
+        z[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
+        z[:, 3 * hd:] = _sigmoid(z[:, 3 * hd:])
         i, f, g, o = (z[:, k * hd:(k + 1) * hd] for k in range(4))
-        i[...] = _sigmoid(i)
-        f[...] = _sigmoid(f)
-        g[...] = np.tanh(g)
-        o[...] = _sigmoid(o)
         c = f * c + i * g
         h = o * np.tanh(c)
         out[:, t] = h
         if keep:
-            gates[:, t] = z
             cells[:, t] = c
     if not keep:
         return Tensor(out)
@@ -116,8 +142,13 @@ def _recurrence(xz: Tensor, wh: Tensor, reverse: bool) -> Tensor:
             if not first:
                 dc = dc * f
                 dh = dzt @ wh.data.T
-        if xz.requires_grad:
-            xz._accumulate(dz)
+        dz2 = dz.reshape(-1, width)
+        if x.requires_grad:
+            x._accumulate((dz2 @ wx.data.T).reshape(x.shape))
+        if wx.requires_grad:
+            wx._accumulate(x2.T @ dz2)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(dz, bias.shape))
         if wh.requires_grad:
             # h_prev of every step, zero for the first processed one
             h_prev = np.zeros_like(out)
@@ -125,7 +156,6 @@ def _recurrence(xz: Tensor, wh: Tensor, reverse: bool) -> Tensor:
                 h_prev[:, :-1] = out[:, 1:]
             else:
                 h_prev[:, 1:] = out[:, :-1]
-            wh._accumulate(h_prev.reshape(-1, hd).T @ dz.reshape(-1, width))
+            wh._accumulate(h_prev.reshape(-1, hd).T @ dz2)
 
-    return Tensor._from_op(out, (xz, wh), "lstm", bwd)
-
+    return Tensor._from_op(out, parents, "lstm", bwd)

@@ -2,9 +2,10 @@
 
 Each asset's T-day feature sequence runs through a bidirectional LSTM (128
 units per direction), 4-head scaled dot-product self-attention over the
-time axis (64 dims per head, concatenated and projected back to 256), and
-a shared 256->128 projection giving one embedding per step for the
-downstream graph attention.
+time axis (64 dims per head, concatenated), the attention's 256->256 output
+projection and a shared 256->128 step projection, giving one embedding per
+step for the downstream graph attention.  Nothing lies between the two
+projections, so they run as one 256->128 map whose matrix is their product.
 
 Assets are independent here: the batch and asset axes are flattened
 together, so permuting assets permutes outputs identically.
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .autodiff import ParameterBag, Tensor, concat, matmul, softmax, uniform_init
-from .nn import LSTM, Linear
+from .nn import LSTM
 
 __all__ = ["TemporalEncoder"]
 
@@ -44,7 +45,8 @@ class TemporalEncoder:
         # draw (and drop) the removed pooled projection's weights so every
         # later parameter keeps the initial values it had for a given seed
         uniform_init(rng, 2 * _MODEL, (2 * _MODEL, 128))
-        self.step_proj = Linear(bag, "temporal.step_proj", _MODEL, 128, rng, bias=False)
+        self.w_step = bag.register("temporal.step_proj.w",
+                                   uniform_init(rng, _MODEL, (_MODEL, 128)))
 
     def bilstm(self, x: Tensor) -> Tensor:
         """(B*N, T, F) -> (B*N, T, 256): forward and backward states concatenated."""
@@ -55,7 +57,11 @@ class TemporalEncoder:
         return x.reshape(rows, steps, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
 
     def self_attention(self, h: Tensor, return_weights: bool = False):
-        """(B*N, T, 256) -> (B*N, T, 256) attention over time, per sequence."""
+        """(B*N, T, 256) -> (B*N, T, 128) attention over time, per sequence.
+
+        The mixed heads go through the output and step projections folded
+        into one (256, 128) matrix, so the result is the per-step embedding.
+        """
         rows, steps, _ = h.shape
         q = self._split_heads(matmul(h, self.wq.tensor), rows, steps)
         k = self._split_heads(matmul(h, self.wk.tensor), rows, steps)
@@ -64,7 +70,7 @@ class TemporalEncoder:
         weights = softmax(scores, axis=-1)                    # (rows, heads, T, T)
         mixed = matmul(weights, v)
         mixed = mixed.transpose((0, 2, 1, 3)).reshape(rows, steps, _MODEL)
-        out = matmul(mixed, self.w_out.tensor)
+        out = matmul(mixed, matmul(self.w_out.tensor, self.w_step.tensor))
         if return_weights:
             return out, weights
         return out
@@ -80,9 +86,5 @@ class TemporalEncoder:
         h_bi = self.bilstm(flat)
         if return_weights:
             h_attn, weights = self.self_attention(h_bi, return_weights=True)
-        else:
-            h_attn = self.self_attention(h_bi)
-        h_step = self.step_proj(h_attn).reshape(b, n, steps, 128)
-        if return_weights:
-            return h_step, weights
-        return h_step
+            return h_attn.reshape(b, n, steps, 128), weights
+        return self.self_attention(h_bi).reshape(b, n, steps, 128)

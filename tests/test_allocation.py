@@ -142,11 +142,17 @@ def test_portfolio_weights_validation():
         bad.validate()
 
 
+def head_inputs(rng, b, steps, n=13):
+    """Temporal (B, T, N, 128) and spatial (B, N, 128) halves of the head input."""
+    return (Tensor(0.3 * rng.standard_normal((b, steps, n, 128))),
+            Tensor(0.3 * rng.standard_normal((b, n, 128))))
+
+
 def test_allocation_head_emits_feasible_weights(rng):
     bag = ParameterBag()
     head = AllocationHead(bag, rng)
-    z = Tensor(0.3 * rng.standard_normal((2, 5, 13, 256)))
-    w = head(z, rng, training=False)
+    assert "alloc.mlp_out.b" not in bag
+    w = head(*head_inputs(rng, 2, 5), rng, training=False)
     assert w.shape == (2, 13)
     for row in w.data:
         assert feasible(row)
@@ -156,32 +162,40 @@ def test_allocation_head_mean_pool_variant(rng):
     bag = ParameterBag()
     head = AllocationHead(bag, rng, use_lstm=False)
     assert not any(name.startswith("alloc.lstm") for name in bag.names())
-    z = Tensor(0.3 * rng.standard_normal((1, 4, 13, 256)))
-    w = head(z, rng, training=False)
+    temp, spat = head_inputs(rng, 1, 4)
+    w = head(temp, spat, rng, training=False)
     assert feasible(w.data[0])
+    # the time mean of the joined [temporal || spatial] sequence
+    joined = np.concatenate([temp.data[0].mean(axis=0), spat.data[0]], axis=-1)
+    want = joined @ bag["alloc.pool_proj.w"].data + bag["alloc.pool_proj.b"].data
+    assert np.allclose(head.aggregate(temp, spat).data[0], want, atol=1e-12)
 
 
 def test_allocation_head_dropout_only_in_training(rng):
     bag = ParameterBag()
     head = AllocationHead(bag, rng)
-    z = Tensor(0.3 * rng.standard_normal((1, 4, 13, 256)))
-    eval_a = head(z, np.random.default_rng(0), training=False).data
-    eval_b = head(z, np.random.default_rng(99), training=False).data
+    temp, spat = head_inputs(rng, 1, 4)
+    eval_a = head(temp, spat, np.random.default_rng(0), training=False).data
+    eval_b = head(temp, spat, np.random.default_rng(99), training=False).data
     assert np.array_equal(eval_a, eval_b)
-    train_a = head(z, np.random.default_rng(0), training=True).data
-    train_b = head(z, np.random.default_rng(99), training=True).data
+    train_a = head(temp, spat, np.random.default_rng(0), training=True).data
+    train_b = head(temp, spat, np.random.default_rng(99), training=True).data
     assert not np.array_equal(train_a, train_b)
 
 
 def test_aggregate_uses_final_lstm_state(rng):
     bag = ParameterBag()
     head = AllocationHead(bag, rng, in_dim=8, hidden=4)
-    z = 0.2 * rng.standard_normal((1, 3, 2, 8))
-    agg = head.aggregate(Tensor(z)).data
+    temp = 0.2 * rng.standard_normal((1, 3, 2, 5))
+    spat = 0.2 * rng.standard_normal((1, 2, 3))
+    agg = head.aggregate(Tensor(temp), Tensor(spat)).data
 
     from test_nn import reference_lstm
 
-    per_asset = np.transpose(z, (0, 2, 1, 3)).reshape(2, 3, 8)
+    # each asset's steps read the joined [temporal || spatial] input
+    per_asset = np.concatenate(
+        [np.transpose(temp, (0, 2, 1, 3)).reshape(2, 3, 5),
+         np.broadcast_to(spat.reshape(2, 1, 3), (2, 3, 3))], axis=-1)
     h_all = reference_lstm(per_asset, head.lstm.wx.data, head.lstm.wh.data,
                            head.lstm.b.data)
     assert np.allclose(agg[0], h_all[:, -1, :], atol=1e-12)

@@ -326,6 +326,9 @@ def test_parameter_bag_register_and_state(rng):
     bag3.register("layer.w", np.ones((4, 2)))
     with pytest.raises(KeyError):
         bag3.load_state({"other": np.ones((4, 2))})
+    with pytest.raises(ValueError, match="stale.w"):
+        bag3.load_state({"layer.w": np.zeros((4, 2)), "stale.w": np.zeros((3,))})
+    assert np.array_equal(bag3["layer.w"].data, np.ones((4, 2)))   # nothing loaded
 
 
 def test_uniform_init_bounds(rng):

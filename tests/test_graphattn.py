@@ -8,8 +8,6 @@ from crisp.graphattn import (
     AttentionRecord,
     GatLayer,
     SparsityReport,
-    fuse,
-    residual_combine,
     sparsity_report,
     telemetry_csv,
 )
@@ -40,50 +38,58 @@ def manual_gat(z, ws, avs, slope=0.2):
     return np.concatenate(refined, axis=1), alphas
 
 
+def split_input(z):
+    """Joined (N, 256) embeddings as the layer's (1, 1, N, 128) temporal and
+    (1, N, 128) spatial halves."""
+    n = z.shape[0]
+    return Tensor(z[:, :128].reshape(1, 1, n, 128)), Tensor(z[:, 128:].reshape(1, n, 128))
+
+
 def test_edge_scores_match_pair_loop(rng):
     n = 6
     bag = ParameterBag()
     gat = GatLayer(bag, rng, n_heads=4)
     z = rng.standard_normal((n, 256))
-    refined, alphas = gat(Tensor(z))
+    refined, alphas = gat(*split_input(z))
     want_refined, want_alphas = manual_gat(
         z, [p.data for p in gat.w], [p.data for p in gat.a])
-    assert np.allclose(refined.data, want_refined, atol=1e-10)
-    for got, want in zip(alphas, want_alphas):
-        assert np.allclose(got.data, want, atol=1e-12)
+    assert refined.shape == (1, 1, n, 128) and alphas.shape == (1, 1, 4, n, n)
+    assert np.allclose(refined.data[0, 0], want_refined, atol=1e-10)
+    for got, want in zip(alphas.data[0, 0], want_alphas):
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_rows_normalize_including_self_edge(rng):
     bag = ParameterBag()
     gat = GatLayer(bag, rng)
-    z = rng.standard_normal((5, 256))
-    _, alphas = gat(Tensor(z))
-    for alpha in alphas:
-        assert np.allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-12)
-        assert (alpha.data > 0.0).all()   # softmax keeps every candidate edge alive
-        assert np.diag(alpha.data).sum() > 0.0
+    _, alphas = gat(*split_input(rng.standard_normal((5, 256))))
+    for alpha in alphas.data[0, 0]:
+        assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
+        assert (alpha > 0.0).all()   # softmax keeps every candidate edge alive
+        assert np.diag(alpha).sum() > 0.0
 
 
 def test_batched_leading_axes_match_loop(rng):
     bag = ParameterBag()
     gat = GatLayer(bag, rng)
-    z = rng.standard_normal((2, 3, 4, 256))
-    refined, alphas = gat(Tensor(z))
+    temp = rng.standard_normal((2, 3, 4, 128))
+    spat = rng.standard_normal((2, 4, 128))
+    refined, alphas = gat(Tensor(temp), Tensor(spat))
     assert refined.shape == (2, 3, 4, 128)
+    assert alphas.shape == (2, 3, 4, 4, 4)
     for b in range(2):
         for t in range(3):
-            single, single_alphas = gat(Tensor(z[b, t]))
-            assert np.allclose(refined.data[b, t], single.data, atol=1e-12)
-            for k in range(4):
-                assert np.allclose(alphas[k].data[b, t], single_alphas[k].data,
-                                   atol=1e-12)
+            z = np.concatenate([temp[b, t], spat[b]], axis=-1)
+            single, single_alphas = gat(*split_input(z))
+            assert np.allclose(refined.data[b, t], single.data[0, 0], atol=1e-12)
+            assert np.allclose(alphas.data[b, t], single_alphas.data[0, 0], atol=1e-12)
 
 
 def test_single_asset_rejected(rng):
     bag = ParameterBag()
     gat = GatLayer(bag, rng)
     with pytest.raises(ValueError, match="2 assets"):
-        gat(Tensor(np.zeros((1, 256))))
+        gat(*split_input(np.zeros((1, 256))))
 
 
 def test_head_count_must_divide_refined_width(rng):
@@ -91,30 +97,15 @@ def test_head_count_must_divide_refined_width(rng):
         GatLayer(ParameterBag(), rng, n_heads=3)
 
 
-def test_fuse_concatenates(rng):
-    a = rng.standard_normal((2, 4, 128))
-    b = rng.standard_normal((2, 4, 128))
-    fused = fuse(Tensor(a), Tensor(b))
-    assert np.allclose(fused.data, np.concatenate([a, b], axis=-1), atol=0)
-
-
-def test_residual_combine_pads_and_halves(rng):
-    z = rng.standard_normal((3, 256))
-    refined = rng.standard_normal((3, 128))
-    out = residual_combine(Tensor(z), Tensor(refined)).data
-    assert np.allclose(out[:, :128], z[:, :128] + 0.5 * refined, atol=1e-15)
-    assert np.allclose(out[:, 128:], z[:, 128:], atol=0)
-
-
 def test_gat_gradcheck(rng):
     bag = ParameterBag()
     gat = GatLayer(bag, rng, n_heads=2, in_dim=8)
 
     def build(xs):
-        refined, _ = gat(xs[0])
+        refined, _ = gat(xs[0], xs[1])
         return refined.sum()
 
-    err = max_rel_error(build, [(3, 8)], rng, scale=0.5)
+    err = max_rel_error(build, [(1, 2, 3, 5), (1, 3, 3)], rng, scale=0.5)
     assert err < 1e-6
 
 
@@ -145,9 +136,8 @@ def test_attention_record_shape_validation():
 def test_156_candidate_edges_at_13_assets(rng):
     bag = ParameterBag()
     gat = GatLayer(bag, rng)
-    z = rng.standard_normal((13, 256))
-    _, alphas = gat(Tensor(z))
-    rec = AttentionRecord.from_alphas("d", np.stack([a.data for a in alphas]))
+    _, alphas = gat(*split_input(rng.standard_normal((13, 256))))
+    rec = AttentionRecord.from_alphas("d", alphas.data[0, 0])
     assert rec.off_diagonal_count() == 156
     assert sum(rec.bins.values()) == 156
     for head_bins in rec.per_head_bins:

@@ -1,0 +1,139 @@
+"""The model's forward against the joined-embedding composition, and its memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from crisp.allocation import TEMPERATURE, project_constraints_tensor
+from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, softmax
+from crisp.model import CrispModel, ModelConfig
+from crisp.objectives import loss_from_batch
+from crisp.training import AdamState, adam_step, clip_gradients
+
+from test_nn import composed_lstm
+
+VARIANTS = [{}, {"static_graph": True}, {"gat_heads": 1}, {"use_alloc_lstm": False},
+            {"n_features": 27}]
+VARIANT_IDS = ["default", "static_graph", "single_head", "no_alloc_lstm", "no_crisis"]
+
+
+def joined_forward(model, features, prior_adjacency, rng, training,
+                   static_adjacency=None):
+    """``model.forward`` composed the direct way from the model's parameters.
+
+    Every asset's step embedding is built as [temporal || spatial], with the
+    spatial half copied across time; the attention output and step
+    projections run one after the other; graph attention loops over heads;
+    the residual pads the refinement with zeros to the joined width; and
+    each LSTM adds ``x @ wx + b`` before its per-step recurrence.
+    """
+    enc, head = model.temporal, model.head
+    b, n, steps, feats = features.shape
+    rows = b * n
+    flat = Tensor(features.reshape(rows, steps, feats))
+    h_bi = concat([composed_lstm(enc.fwd, flat),
+                   composed_lstm(enc.bwd, flat, reverse=True)], axis=2)
+
+    def split_heads(w):
+        return (matmul(h_bi, w.tensor).reshape(rows, steps, enc.n_heads, enc.head_dim)
+                .transpose((0, 2, 1, 3)))
+
+    q, k, v = split_heads(enc.wq), split_heads(enc.wk), split_heads(enc.wv)
+    scores = matmul(q, k.swap_last_two()) * (1.0 / math.sqrt(enc.head_dim))
+    mixed = matmul(softmax(scores, axis=-1), v).transpose((0, 2, 1, 3))
+    h_attn = matmul(mixed.reshape(rows, steps, 256), enc.w_out.tensor)
+    h_step = matmul(h_attn, enc.w_step.tensor).reshape(b, n, steps, 128)
+    h_spat = model.spatial(Tensor(features.mean(axis=2)), Tensor(prior_adjacency))
+
+    temp_seq = h_step.transpose((0, 2, 1, 3))
+    spat_seq = h_spat.reshape(b, 1, n, 128).broadcast_to((b, steps, n, 128))
+    z_init = concat([temp_seq, spat_seq], axis=3)                  # (B, T, N, 256)
+    alphas = None
+    if model.config.static_graph:
+        adj = Tensor(static_adjacency.reshape(b, 1, n, n))
+        refined = matmul(adj, matmul(z_init, model.w_static.tensor)).relu()
+    else:
+        gat = model.gat
+        hd = gat.head_dim
+        refined_heads, alpha_heads = [], []
+        for w, a in zip(gat.w, gat.a):
+            wz = matmul(z_init, w.tensor)
+            src = (wz * a.tensor[:hd].reshape(1, 1, 1, hd)).sum(axis=-1)
+            dst = (wz * a.tensor[hd:].reshape(1, 1, 1, hd)).sum(axis=-1)
+            e = src.reshape(b, steps, n, 1) + dst.reshape(b, steps, 1, n)
+            alpha = softmax(leaky_relu(e, gat.slope), axis=-1)
+            refined_heads.append(matmul(alpha, wz))
+            alpha_heads.append(alpha.data[:, steps - 1])
+        refined = concat(refined_heads, axis=3)
+        alphas = np.stack(alpha_heads, axis=1)
+    zeros = Tensor(np.zeros((b, steps, n, 128)))
+    z_final = z_init + 0.5 * concat([refined, zeros], axis=3)
+
+    per_asset = z_final.transpose((0, 2, 1, 3)).reshape(rows, steps, 256)
+    if head.use_lstm:
+        final = composed_lstm(head.lstm, per_asset)[:, steps - 1, :]
+    else:
+        final = head.pool_proj(per_asset.mean(axis=1))
+    h = head.mlp_hidden(final.reshape(b, n, head.hidden)).relu()
+    h = dropout(h, head.dropout_rate, rng, training)
+    raw = head.mlp_out(h).reshape(b, n)
+    return project_constraints_tensor(softmax(raw, axis=-1, temperature=TEMPERATURE)), alphas
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
+def test_forward_matches_joined_composition(prior, variant):
+    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    gen = np.random.default_rng(5)
+    b, n, steps = 3, model.config.n_assets, 6
+    x = gen.standard_normal((b, n, steps, model.config.n_features))
+    static = None
+    if model.config.static_graph:
+        adj = np.abs(gen.standard_normal((b, n, n)))
+        static = adj / adj.sum(axis=-1, keepdims=True)
+    prev = np.full((b, n), 1.0 / n)
+    targets = 0.02 * gen.standard_normal((b, n, 5))
+    runs = []
+    for forward in (model.forward, lambda *a, **kw: joined_forward(model, *a, **kw)):
+        model.zero_grads()
+        weights, alphas = forward(x, prior.normalized, np.random.default_rng(11),
+                                  training=True, static_adjacency=static)
+        loss_from_batch(weights, prev, targets).backward()
+        runs.append((weights.data, alphas,
+                     {p.name: p.grad.copy() for p in model.parameters()}))
+    (got_w, got_a, got_g), (want_w, want_a, want_g) = runs
+    assert np.abs(got_w - want_w).max() <= 1e-12
+    if want_a is None:
+        assert got_a is None
+    else:
+        assert got_a.shape == want_a.shape
+        assert np.abs(got_a - want_a).max() <= 1e-12
+    assert got_g.keys() == want_g.keys()
+    for name, want in want_g.items():
+        rel = np.abs(got_g[name] - want).max() / np.abs(want).max()
+        assert rel <= 1e-10, (name, rel)
+
+
+def test_training_step_peak_memory(prior):
+    # one B=16 step of the default model as train() takes it; tracemalloc's
+    # peak depends only on the array shapes, so it is the same every run
+    model = CrispModel(ModelConfig())
+    adam = AdamState.for_model(model)
+    gen = np.random.default_rng(0)
+    b, n = 16, model.config.n_assets
+    x = gen.standard_normal((b, n, model.config.window, model.config.n_features))
+    targets = 0.02 * gen.standard_normal((b, n, model.config.horizon))
+    prev = np.full((b, n), 1.0 / n)
+    params = model.parameters()
+    tracemalloc.start()
+    try:
+        model.zero_grads()
+        weights, _ = model.forward(x, prior.normalized, gen, training=True)
+        loss_from_batch(weights, prev, targets).backward()
+        clip_gradients(params, 5.0)
+        adam_step(params, adam, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 360e6, f"train step peak {peak / 1e6:.1f} MB"

@@ -118,12 +118,16 @@ def test_lstm_reverse_gradients(rng):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_node_gradcheck(rng, reverse):
-    # pre-activations and recurrent weights both as probed inputs; some
-    # gradients are ~1e-4, where a 1e-6 step's rounding alone exceeds 1e-6
+    # inputs, input weights, a per-sequence (B, 1, 4H) bias and recurrent
+    # weights all as probed inputs; some gradients are ~1e-4, where a 1e-6
+    # step's rounding alone exceeds 1e-6.  Half-scale draws: with x and wx
+    # both unit normal, x @ wx saturates the gates and the central
+    # differences lose digits (1.7e-6 in the reverse direction)
     def build(xs):
-        return (_recurrence(xs[0], xs[1], reverse) ** 2.0).sum()
+        return (_recurrence(xs[0], xs[1], xs[2], xs[3], reverse) ** 2.0).sum()
 
-    assert max_rel_error(build, [(2, 5, 12), (3, 12)], rng, eps=1e-5) < 1e-6
+    shapes = [(2, 5, 4), (4, 12), (2, 1, 12), (3, 12)]
+    assert max_rel_error(build, shapes, rng, scale=0.5, eps=1e-5) < 1e-6
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -157,7 +161,7 @@ def test_lstm_keeps_no_caches_without_grad(rng):
     assert out._parents == () and out._backward is None and not out.requires_grad
     graphed = lstm.run(x)
     assert np.array_equal(out.data, graphed.data)
-    assert graphed.op == "lstm" and graphed._parents[1] is lstm.wh.tensor
+    assert graphed.op == "lstm" and graphed._parents[3] is lstm.wh.tensor
 
 
 def test_lstm_parameter_gradients_flow(rng):

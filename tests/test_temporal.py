@@ -47,7 +47,7 @@ def test_attention_weight_rows_sum_to_one(rng):
     assert weights.shape == (4, 4, 7, 7)
     assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
     assert (weights.data >= 0.0).all()
-    assert out.shape == (4, 7, 256)
+    assert out.shape == (4, 7, 128)
 
 
 def test_attention_matches_manual_numpy(rng):
@@ -58,7 +58,7 @@ def test_attention_matches_manual_numpy(rng):
 
     wq, wk, wv = enc.wq.data, enc.wk.data, enc.wv.data
     hd = 128
-    expected = np.empty((rows, steps, 256))
+    expected = np.empty((rows, steps, 128))
     for r in range(rows):
         mixed_heads = []
         for head in range(2):
@@ -70,7 +70,9 @@ def test_attention_matches_manual_numpy(rng):
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             w = e / e.sum(axis=-1, keepdims=True)
             mixed_heads.append(w @ v)
-        expected[r] = np.concatenate(mixed_heads, axis=-1) @ enc.w_out.data
+        # the output projection, then the step projection
+        attended = np.concatenate(mixed_heads, axis=-1) @ enc.w_out.data
+        expected[r] = attended @ enc.w_step.data
     assert np.allclose(out, expected, atol=1e-10)
 
 

@@ -233,9 +233,6 @@ def test_training_step_reaches_every_parameter(prior, variant):
     prev = np.full((b, n), 1.0 / n)
     loss_from_batch(weights, prev, 0.02 * gen.standard_normal((b, n, 5))).backward()
     grads = {p.name: np.abs(p.grad).max() for p in model.parameters()}
-    # the score bias shifts every asset's score alike, and the softmax over
-    # assets cancels a common shift, so its gradient is zero up to rounding
-    assert grads.pop("alloc.mlp_out.b") < 1e-12
     assert [name for name, g in grads.items() if not g > 1e-12] == []
 
 
@@ -348,3 +345,11 @@ def test_log_csv_format(trained):
     assert len(lines) == 1 + len(result.log)
     first = lines[1].split(",")
     assert first[0] == "0" and len(first) == 4
+
+
+def test_model_rejects_state_with_the_dropped_score_bias():
+    model = CrispModel(ModelConfig())
+    state = model.state()
+    state["alloc.mlp_out.b"] = np.zeros(1)
+    with pytest.raises(ValueError, match="alloc.mlp_out.b"):
+        model.load_state(state)
