@@ -39,7 +39,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     make_windows,
-    split_windows,
 )
 from .features import (
     CRISIS_FEATURES,
@@ -50,7 +49,7 @@ from .features import (
 )
 from .graphattn import AttentionRecord, GatLayer, SparsityReport, sparsity_report
 from .model import CrispModel, ModelConfig
-from .objectives import LossWeights, MetricSet, loss, loss_from_batch, metrics
+from .objectives import LossWeights, MetricSet, loss_from_batch, metrics
 from .spatial import PriorGraph, SpatialEncoder, build_prior, correlation_adjacency
 from .temporal import TemporalEncoder
 from .training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -98,7 +97,6 @@ __all__ = [
     "load_asset_book",
     "load_checkpoint",
     "load_csv",
-    "loss",
     "loss_from_batch",
     "make_windows",
     "mean_variance",
@@ -112,7 +110,6 @@ __all__ = [
     "score_to_weights",
     "softmax",
     "sparsity_report",
-    "split_windows",
     "train",
     "train_on_universe",
 ]

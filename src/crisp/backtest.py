@@ -15,14 +15,14 @@ transaction costs; turnover is reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .allocation import PortfolioWeights, project_constraints, score_to_weights
 from .data import Universe, Window
-from .features import CRISIS_FEATURES, PAD, compute_features, feature_columns
+from .features import CRISIS_FEATURES, N_FEATURES, PAD, compute_features, feature_columns
 from .graphattn import AttentionRecord
 from .model import CrispModel, ModelConfig
 from .objectives import LossWeights, MetricSet, metrics
@@ -31,6 +31,8 @@ from .training import Checkpoint, TrainConfig, train
 from .universe import AssetBook
 
 __all__ = [
+    "ABLATION_NAMES",
+    "VARIANTS",
     "BacktestReport",
     "Strategy",
     "ablation_suite",
@@ -240,18 +242,23 @@ def random_selection(seed: int = 0) -> Strategy:
 
 # -- model-backed strategies --------------------------------------------------
 
+def _window_features(padded: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     start: int, days: int, defensive_mask: np.ndarray) -> np.ndarray:
+    """Raw full-roster features of the ``days``-day window from ``start``."""
+    p_pad, v_pad, m_pad = padded
+    lo, hi = start, start + PAD + days
+    return compute_features(p_pad[:, lo:hi], v_pad[:, lo:hi], m_pad[lo:hi],
+                            defensive=defensive_mask)
+
+
 def attach_features(universe: Universe, windows: list[Window],
-                    defensive_mask: np.ndarray,
-                    feature_indices: list[int] | None = None) -> None:
-    """Compute (and cache on each window) the raw feature tensor."""
-    p_pad, v_pad, m_pad = universe.padded_inputs(PAD)
+                    defensive_mask: np.ndarray) -> None:
+    """Compute (and cache on each window) the raw full-roster feature tensor."""
+    padded = universe.padded_inputs(PAD)
     for w in windows:
-        if w.features is not None:
-            continue
-        lo, hi = w.start, w.start + PAD + (w.end - w.start + 1)
-        feats = compute_features(p_pad[:, lo:hi], v_pad[:, lo:hi], m_pad[lo:hi],
-                                 defensive=defensive_mask)
-        w.features = feats if feature_indices is None else feats[:, :, feature_indices]
+        if w.features is None:
+            w.features = _window_features(padded, w.start, w.end - w.start + 1,
+                                          defensive_mask)
 
 
 def static_adjacency_at(universe: Universe, end: int,
@@ -269,9 +276,8 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
                       train_config: TrainConfig,
                       loss_weights: LossWeights | None = None):
     """Feature-attach, optionally build static graphs, and run the trainer."""
-    columns = feature_columns(model_config.n_features)
     defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
-    attach_features(universe, train_windows, defensive, columns)
+    attach_features(universe, train_windows, defensive)
 
     static = None
     if model_config.static_graph:
@@ -298,10 +304,8 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
         start = end - window + 1
         if start < 0:
             raise ValueError(f"window ending at {end} has no room for {window} days")
-        p_pad, v_pad, m_pad = universe.padded_inputs(PAD)
-        lo, hi = start, start + PAD + window
-        feats = compute_features(p_pad[:, lo:hi], v_pad[:, lo:hi], m_pad[lo:hi],
-                                 defensive=defensive_mask)
+        feats = _window_features(universe.padded_inputs(PAD), start, window,
+                                 defensive_mask)
         if columns is not None:
             feats = feats[:, :, columns]
         feats = normalizer.transform(feats)
@@ -323,14 +327,17 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
 
 # -- ablation harness ---------------------------------------------------------
 
-ABLATION_NAMES = [
-    "Full CRISP",
-    "w/o Learnable Graph",
-    "w/o Multi-Head Attn",
-    "w/o LSTM",
-    "w/o Crisis Features",
-    "Random Selection",
-]
+# CLI variant name -> (ablation row name, ModelConfig overrides)
+VARIANTS: dict[str, tuple[str, dict[str, object]]] = {
+    "full": ("Full CRISP", {}),
+    "static": ("w/o Learnable Graph", {"static_graph": True}),
+    "single_head": ("w/o Multi-Head Attn", {"gat_heads": 1}),
+    "no_lstm": ("w/o LSTM", {"use_alloc_lstm": False}),
+    "no_crisis": ("w/o Crisis Features",
+                  {"n_features": N_FEATURES - len(CRISIS_FEATURES)}),
+}
+_RANDOM_ROW = "Random Selection"
+ABLATION_NAMES = [row for row, _ in VARIANTS.values()] + [_RANDOM_ROW]
 
 
 def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
@@ -340,32 +347,19 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
                    loss_weights: LossWeights | None = None,
                    only: list[str] | None = None,
                    ) -> list[tuple[str, MetricSet]]:
-    """Train and evaluate the six component-ablation configurations."""
+    """Train and evaluate each model variant, then the random-selection row."""
     base = base_config or ModelConfig(n_assets=universe.n_assets)
-    n_crisisless = base.n_features - len(CRISIS_FEATURES)
-    variants: dict[str, ModelConfig | None] = {
-        "Full CRISP": base,
-        "w/o Learnable Graph": ModelConfig(**{**base.__dict__, "static_graph": True}),
-        "w/o Multi-Head Attn": ModelConfig(**{**base.__dict__, "gat_heads": 1}),
-        "w/o LSTM": ModelConfig(**{**base.__dict__, "use_alloc_lstm": False}),
-        "w/o Crisis Features": ModelConfig(**{**base.__dict__,
-                                              "n_features": n_crisisless}),
-        "Random Selection": None,
-    }
     defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
     rows: list[tuple[str, MetricSet]] = []
-    for name in ABLATION_NAMES:
+    for name, overrides in [*VARIANTS.values(), (_RANDOM_ROW, None)]:
         if only is not None and name not in only:
             continue
-        cfg = variants[name]
-        if cfg is None:
+        if overrides is None:
             strat = random_selection(seed=train_config.seed)
         else:
-            # fresh copies: windows cache features per roster width
-            tw = [Window(w.start, w.end, w.end_date, w.target, w.regime)
-                  for w in train_windows]
             _, result = train_on_universe(
-                universe, book, prior, tw, cfg, train_config, loss_weights)
+                universe, book, prior, train_windows, replace(base, **overrides),
+                train_config, loss_weights)
             strat = crisp_strategy(result.checkpoint, prior, defensive, name=name)
         report = run_backtest(strat, universe, test_windows)
         rows.append((name, report.metric_set))

@@ -22,11 +22,13 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .backtest import (
     ABLATION_NAMES,
+    VARIANTS,
     ablation_csv,
     ablation_suite,
     crisp_strategy,
@@ -38,7 +40,7 @@ from .backtest import (
     train_on_universe,
 )
 from .data import RegimeConfig, Universe, generate_synthetic, load_csv, make_windows
-from .features import CRISIS_FEATURES, N_FEATURES, roster_csv
+from .features import roster_csv
 from .graphattn import sparsity_report, telemetry_csv
 from .model import ModelConfig
 from .objectives import LossWeights
@@ -51,8 +53,15 @@ class UsageError(Exception):
     """Invocation or configuration problem; maps to exit code 2."""
 
 
+def _fields(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[str, object]]:
+    """A config dataclass's fields as schema entries, in declaration order."""
+    return {f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
+
+
 # Section -> key -> (type tag, default).  The resolved config always carries
-# every key, which is what makes the echoed file re-runnable as-is.
+# every key, which is what makes the echoed file re-runnable as-is.  The
+# [synthetic] regime keys, [model], [train] and [loss] are the fields of
+# their dataclasses; the rest only the CLI owns.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "data": {
         "source": ("str", "synthetic"),          # synthetic | csv
@@ -66,45 +75,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "synthetic": {
         "days": ("int", 1500),
         "seed": ("int", 11),
-        "p_calm_to_crisis": ("float", 0.02),
-        "p_crisis_to_calm": ("float", 0.10),
-        "calm_vol": ("float", 0.01),
-        "crisis_vol": ("float", 0.03),
-        "calm_corr": ("float", 0.2),
-        "crisis_corr": ("float", 0.8),
-        "calm_mean": ("float", 0.0004),
-        "crisis_mean": ("float", -0.002),
-        "defensive_vol_factor": ("float", 0.4),
+        **_fields(RegimeConfig),
         "defensive_indices": ("str", "auto"),    # auto | "" | comma list
     },
-    "model": {
-        "n_features": ("int", N_FEATURES),
-        "gat_heads": ("int", 4),
-        "use_alloc_lstm": ("bool", True),
-        "static_graph": ("bool", False),
-        "init_seed": ("int", 0),
-    },
-    "train": {
-        "learning_rate": ("float", 1e-3),
-        "lr_min": ("float", 1e-5),
-        "batch_size": ("int", 32),
-        "max_epochs": ("int", 200),
-        "patience": ("int", 15),
-        "val_fraction": ("float", 0.1),
-        "clip_norm": ("float", 5.0),
-        "seed": ("int", 0),
-    },
-    "loss": {
-        "sharpe": ("float", 0.4),
-        "sortino": ("float", 0.2),
-        "risk": ("float", 0.3),
-        "diversification": ("float", 0.05),
-        "turnover": ("float", 0.05),
-        "risk_free_daily": ("float", 0.0),
-        "cvar_alpha": ("float", 0.05),
-        "turnover_target": ("float", 0.02),
-        "turnover_width": ("float", 0.01),
-    },
+    # window and horizon come from [data], n_assets from the universe
+    "model": _fields(ModelConfig, skip=("n_assets", "window", "horizon")),
+    "train": _fields(TrainConfig),
+    "loss": _fields(LossWeights),
     "backtest": {
         "strategies": ("str", "crisp,equal_weight,mean_variance,risk_parity"),
         "mv_risk_aversion": ("float", 1.0),
@@ -112,14 +89,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "rp_lookback": ("int", 252),
         "random_seed": ("int", 0),
     },
-}
-
-_VARIANTS: dict[str, dict[str, object]] = {
-    "full": {},
-    "static": {"static_graph": True},
-    "single_head": {"gat_heads": 1},
-    "no_lstm": {"use_alloc_lstm": False},
-    "no_crisis": {"n_features": N_FEATURES - len(CRISIS_FEATURES)},
 }
 
 _STRATEGY_NAMES = ("crisp", "equal_weight", "mean_variance", "risk_parity",
@@ -231,13 +200,7 @@ def _build_universe(cfg, book: AssetBook) -> Universe:
     source = cfg["data"]["source"]
     if source == "synthetic":
         s = cfg["synthetic"]
-        regime_cfg = RegimeConfig(
-            p_calm_to_crisis=s["p_calm_to_crisis"],
-            p_crisis_to_calm=s["p_crisis_to_calm"],
-            calm_vol=s["calm_vol"], crisis_vol=s["crisis_vol"],
-            calm_corr=s["calm_corr"], crisis_corr=s["crisis_corr"],
-            calm_mean=s["calm_mean"], crisis_mean=s["crisis_mean"],
-            defensive_vol_factor=s["defensive_vol_factor"])
+        regime_cfg = RegimeConfig(**{f.name: s[f.name] for f in fields(RegimeConfig)})
         return generate_synthetic(book.tickers(), s["days"], s["seed"],
                                   regime_cfg, _defensive_indices(cfg, book))
     if source == "csv":
@@ -276,30 +239,8 @@ def _plan_windows(cfg, universe: Universe):
 
 
 def _model_config(cfg, universe: Universe) -> ModelConfig:
-    m = cfg["model"]
-    return ModelConfig(
-        n_assets=universe.n_assets, n_features=m["n_features"],
-        window=cfg["data"]["window"], horizon=cfg["data"]["horizon"],
-        gat_heads=m["gat_heads"], use_alloc_lstm=m["use_alloc_lstm"],
-        static_graph=m["static_graph"], init_seed=m["init_seed"])
-
-
-def _train_config(cfg) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        learning_rate=t["learning_rate"], lr_min=t["lr_min"],
-        batch_size=t["batch_size"], max_epochs=t["max_epochs"],
-        patience=t["patience"], val_fraction=t["val_fraction"],
-        clip_norm=t["clip_norm"], seed=t["seed"])
-
-
-def _loss_weights(cfg) -> LossWeights:
-    w = cfg["loss"]
-    return LossWeights(
-        sharpe=w["sharpe"], sortino=w["sortino"], risk=w["risk"],
-        diversification=w["diversification"], turnover=w["turnover"],
-        risk_free_daily=w["risk_free_daily"], cvar_alpha=w["cvar_alpha"],
-        turnover_target=w["turnover_target"], turnover_width=w["turnover_width"])
+    return ModelConfig(n_assets=universe.n_assets, window=cfg["data"]["window"],
+                       horizon=cfg["data"]["horizon"], **cfg["model"])
 
 
 def _prior(book: AssetBook, universe: Universe) -> PriorGraph:
@@ -353,10 +294,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.variant is not None:
-        if args.variant not in _VARIANTS:
+        if args.variant not in VARIANTS:
             raise UsageError(f"unknown variant {args.variant!r} "
-                             f"(known: {', '.join(_VARIANTS)})")
-        cfg["model"].update(_VARIANTS[args.variant])
+                             f"(known: {', '.join(VARIANTS)})")
+        cfg["model"].update(VARIANTS[args.variant][1])
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
 
@@ -367,8 +308,8 @@ def cmd_train(args) -> int:
 
     model_config = _model_config(cfg, universe)
     _, result = train_on_universe(universe, book, prior, train_windows,
-                                  model_config, _train_config(cfg),
-                                  _loss_weights(cfg))
+                                  model_config, TrainConfig(**cfg["train"]),
+                                  LossWeights(**cfg["loss"]))
 
     out = _ensure_out(args.out)
     save_checkpoint(result.checkpoint, os.path.join(out, "checkpoint.bin"))
@@ -487,8 +428,8 @@ def cmd_ablate(args) -> int:
     prior = _prior(book, universe)
 
     rows = ablation_suite(universe, book, prior, train_windows, test_windows,
-                          _train_config(cfg), _model_config(cfg, universe),
-                          _loss_weights(cfg), only=only)
+                          TrainConfig(**cfg["train"]), _model_config(cfg, universe),
+                          LossWeights(**cfg["loss"]), only=only)
 
     out = _ensure_out(args.out)
     table = ablation_csv(rows)
@@ -532,7 +473,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the allocation model")
     common(p)
-    p.add_argument("--variant", help="model variant: " + ", ".join(_VARIANTS))
+    p.add_argument("--variant", help="model variant: " + ", ".join(VARIANTS))
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("backtest", help="run strategies on the test split")

@@ -22,7 +22,6 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "make_windows",
-    "split_windows",
 ]
 
 
@@ -302,24 +301,3 @@ def make_windows(universe: Universe, window: int = 20, horizon: int = 5,
             start=start, end=end, end_date=universe.return_dates[end],
             target=target, regime=regime))
     return out
-
-
-def split_windows(windows: list[Window], horizon: int,
-                  train_frac: float = 0.7) -> tuple[list[Window], list[Window], int]:
-    """Chronological train/test split with a purge gap.
-
-    The boundary index is placed at ``train_frac`` of the windows.  A window
-    lands in train only if its entire target block ends at or before the
-    boundary window's end; it lands in test only if its feature window starts
-    after the boundary target block ends.  Straddlers are dropped and counted
-    so no information can leak across the split.
-    """
-    if not windows:
-        return [], [], 0
-    cut = max(1, int(len(windows) * train_frac))
-    boundary_end = windows[cut - 1].end + horizon
-
-    train = [w for w in windows if w.end + horizon <= boundary_end]
-    test = [w for w in windows if w.start > boundary_end]
-    dropped = len(windows) - len(train) - len(test)
-    return train, test, dropped

@@ -314,7 +314,11 @@ class FeatureNormalizer:
         self.std: np.ndarray | None = None
 
     def fit(self, feature_arrays: list[np.ndarray]) -> "FeatureNormalizer":
-        """Fit over a list of (N, T, F) arrays pooled across samples, assets, days."""
+        """Fit over a list of (N, T, F) arrays pooled across samples, assets, days.
+
+        A zero-variance feature is named from the roster columns that
+        ``feature_columns(F)`` selects.
+        """
         if not feature_arrays:
             raise ValueError("cannot fit normalizer on an empty list")
         flat = np.concatenate([a.reshape(-1, a.shape[-1]) for a in feature_arrays], axis=0)
@@ -322,7 +326,8 @@ class FeatureNormalizer:
         std = flat.std(axis=0)
         dead = std < _EPS
         if dead.any():
-            names = [FEATURE_ROSTER[i][0] for i in np.flatnonzero(dead)]
+            columns = feature_columns(flat.shape[1]) or range(N_FEATURES)
+            names = [FEATURE_ROSTER[columns[i]][0] for i in np.flatnonzero(dead)]
             warnings.warn(f"zero-variance features {names}: unit-variance fallback applied")
             std = np.where(dead, 1.0, std)
         self.std = std

@@ -26,19 +26,16 @@ return over |max drawdown|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, gather, maximum
-from .allocation import PortfolioWeights
 
 __all__ = [
     "EPS",
     "LossWeights",
     "MetricSet",
-    "PeriodOutcome",
-    "loss",
     "loss_from_batch",
     "l_sharpe",
     "l_sortino",
@@ -68,29 +65,6 @@ class LossWeights:
         for name in ("sharpe", "sortino", "risk", "diversification", "turnover"):
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be non-negative")
-
-
-@dataclass
-class PeriodOutcome:
-    """Realized results of holding one weight vector for a 5-day period."""
-
-    weights: PortfolioWeights
-    previous_weights: np.ndarray
-    asset_returns: np.ndarray               # (N, H)
-    daily_returns: np.ndarray = field(default=None)  # (H,), derived when omitted
-
-    def __post_init__(self):
-        self.previous_weights = np.asarray(self.previous_weights, dtype=np.float64)
-        self.asset_returns = np.asarray(self.asset_returns, dtype=np.float64)
-        implied = self.weights.weights @ self.asset_returns
-        if self.daily_returns is None:
-            self.daily_returns = implied
-        else:
-            self.daily_returns = np.asarray(self.daily_returns, dtype=np.float64)
-            if not np.allclose(self.daily_returns, implied, atol=1e-12):
-                raise ValueError(
-                    "daily returns disagree with weights @ asset_returns; "
-                    "weights are held fixed within the period")
 
 
 # -- differentiable loss terms ------------------------------------------------
@@ -195,16 +169,6 @@ def loss_from_batch(weights: Tensor, previous_weights: np.ndarray,
              + lw.turnover * l_turn(weights, Tensor(np.asarray(previous_weights)),
                                     lw.turnover_target, lw.turnover_width))
     return total
-
-
-def loss(outcomes: list[PeriodOutcome], lw: LossWeights | None = None) -> Tensor:
-    """Total loss over explicit period outcomes; gradient reaches the weights."""
-    if not outcomes:
-        raise ValueError("loss requires a non-empty batch")
-    weights = Tensor(np.stack([o.weights.weights for o in outcomes]), requires_grad=True)
-    prev = np.stack([o.previous_weights for o in outcomes])
-    rets = np.stack([o.asset_returns for o in outcomes])
-    return loss_from_batch(weights, prev, rets, lw)
 
 
 # -- evaluation metrics -------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .data import Window
-from .features import FeatureNormalizer
+from .features import FeatureNormalizer, feature_columns
 from .model import CrispModel, ModelConfig
 from .objectives import LossWeights, loss_from_batch
 
@@ -241,10 +241,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _stack_features(windows: list[Window]) -> np.ndarray:
-    return np.stack([w.features for w in windows])
-
-
 def _stack_targets(windows: list[Window]) -> np.ndarray:
     return np.stack([w.target for w in windows])
 
@@ -255,7 +251,8 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
           resume_from: Checkpoint | None = None) -> TrainResult:
     """Train on feature-carrying windows; returns the best checkpoint.
 
-    Windows must be chronological and carry raw (unnormalized) features.
+    Windows must be chronological and carry raw (unnormalized) full-roster
+    features; the model reads the roster columns its ``n_features`` selects.
     The last ``val_fraction`` of them become the validation tail.  Turnover
     in the loss uses a uniform previous-weight convention: shuffled batches
     have no meaningful period ordering.
@@ -269,12 +266,17 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
     if model.config.static_graph and static_adjacencies is None:
         raise ValueError("static-graph training requires per-window adjacencies")
 
+    columns = feature_columns(model.config.n_features)
+    features = [w.features if columns is None else w.features[:, :, columns]
+                for w in windows]
+
     n_val = max(1, round(config.val_fraction * len(windows))) if len(windows) >= 2 else 0
-    train_windows = windows[:len(windows) - n_val]
-    val_windows = windows[len(windows) - n_val:]
+    n_train = len(windows) - n_val
+    train_windows = windows[:n_train]
+    val_windows = windows[n_train:]
 
     if resume_from is None:
-        normalizer = FeatureNormalizer().fit([w.features for w in train_windows])
+        normalizer = FeatureNormalizer().fit(features[:n_train])
         adam = AdamState.for_model(model)
         rng = np.random.default_rng(config.seed)
         start_epoch = 0
@@ -295,9 +297,9 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
         bad_epochs = ck.bad_epochs
         best_params = {k: v.copy() for k, v in ck.best_params.items()}
 
-    train_feats = normalizer.transform(_stack_features(train_windows))
+    train_feats = normalizer.transform(np.stack(features[:n_train]))
     train_targets = _stack_targets(train_windows)
-    val_feats = (normalizer.transform(_stack_features(val_windows))
+    val_feats = (normalizer.transform(np.stack(features[n_train:]))
                  if val_windows else None)
     val_targets = _stack_targets(val_windows) if val_windows else None
     uniform = np.full((1, model.config.n_assets), 1.0 / model.config.n_assets)
@@ -314,7 +316,6 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
             prev = np.repeat(uniform, feats.shape[0], axis=0)
             return float(loss_from_batch(w, prev, targets, lw).data)
 
-    n_train = len(train_windows)
     static_train = (static_adjacencies[:n_train]
                     if static_adjacencies is not None else None)
     static_val = (static_adjacencies[n_train:]

@@ -41,11 +41,6 @@ class AssetBook:
         dset = set(self.defensive)
         return [t in dset for t in tickers]
 
-    def require(self, tickers: list[str]) -> None:
-        missing = [t for t in tickers if t not in self.sector_map or t not in self.region_map]
-        if missing:
-            raise ValueError(f"tickers without sector/region mapping: {missing}")
-
 
 def load_asset_book(path: str | None = None) -> AssetBook:
     """Read a ticker,sector,region CSV; None loads the packaged default."""

@@ -68,7 +68,7 @@ def _line(num, label, ok, detail=""):
 
 
 def _fresh(windows):
-    # windows cache features; copies keep fixtures independent across tests
+    # windows cache features; copies make each twin run compute its own
     return [Window(w.start, w.end, w.end_date, w.target, w.regime) for w in windows]
 
 
@@ -419,7 +419,7 @@ def test_07_determinism(twin_runs, small_universe, book, prior, small_windows,
 
     defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
     reports = [run_backtest(crisp_strategy(r.checkpoint, prior, defensive),
-                            small_universe, _fresh(small_windows[20:]))
+                            small_universe, small_windows[20:])
                for r in (r1, r2)]
     assert reports[0].equity_csv() == reports[1].equity_csv()
     assert (reports[0].weights_csv(small_universe.tickers)
@@ -497,9 +497,8 @@ def test_09_synthetic_end_to_end(book):
     defensive = np.array(book.defensive_mask(u.tickers), dtype=np.float64)
     dmask = defensive.astype(bool)
     prior = build_prior(book.sector_map, book.region_map, u.tickers)
-    loss_windows = _fresh(train)
-    attach_features(u, loss_windows, defensive)
-    ew = run_backtest(equal_weight(), u, _fresh(test))
+    attach_features(u, train, defensive)
+    ew = run_backtest(equal_weight(), u, test)
     crisis = np.array([bool(w.regime) for w in test])
     print(f"fixture: {len(inventory)} windows, {len(train)} train / {len(test)} test, "
           f"{int(crisis.sum())} crisis test rebalances, "
@@ -522,18 +521,18 @@ def test_09_synthetic_end_to_end(book):
         # epoch 1 is bitwise-identical between the two runs, so comparing the
         # two selected checkpoints on the full training set reads "loss fell
         # from epoch 1 to the best epoch" without epoch-average noise
-        _, first = train_on_universe(u, book, prior, _fresh(train),
+        _, first = train_on_universe(u, book, prior, train,
                                      ModelConfig(init_seed=seed),
                                      TrainConfig(max_epochs=1, **kw))
-        _, full = train_on_universe(u, book, prior, _fresh(train),
+        _, full = train_on_universe(u, book, prior, train,
                                     ModelConfig(init_seed=seed),
                                     TrainConfig(max_epochs=10, **kw))
-        l1 = eval_train_loss(first.checkpoint, loss_windows)
-        lbest = eval_train_loss(full.checkpoint, loss_windows)
+        l1 = eval_train_loss(first.checkpoint, train)
+        lbest = eval_train_loss(full.checkpoint, train)
         a = lbest < l1
 
         strat = crisp_strategy(full.checkpoint, prior, defensive)
-        report = run_backtest(strat, u, _fresh(test))
+        report = run_backtest(strat, u, test)
         b = report.metric_set.sharpe > ew.metric_set.sharpe
         assert len(report.attention) == len(test)
         shares = np.array([rec.cluster_share(dmask) for rec in report.attention])
@@ -563,7 +562,7 @@ def test_10_ablation_harness(small_universe, book, prior, small_windows):
     cfg = TrainConfig(learning_rate=1e-3, lr_min=5e-4, batch_size=8,
                       max_epochs=1, patience=2, val_fraction=0.2, seed=0)
     rows = ablation_suite(small_universe, book, prior,
-                          _fresh(small_windows[:20]), _fresh(small_windows[20:]),
+                          small_windows[:20], small_windows[20:],
                           cfg)
     names = [name for name, _ in rows]
     assert names == ABLATION_NAMES

@@ -21,7 +21,7 @@ from crisp.backtest import (
     train_on_universe,
 )
 from crisp.data import generate_synthetic, make_windows
-from crisp.features import CRISIS_FEATURES, N_FEATURES, PAD, compute_features
+from crisp.features import PAD, compute_features
 from crisp.model import ModelConfig
 from crisp.objectives import MetricSet
 from crisp.spatial import correlation_adjacency, normalize_adjacency
@@ -200,16 +200,6 @@ def test_attach_features_matches_direct_compute(small_universe, five_windows, bo
     cached = w.features
     attach_features(small_universe, windows, defensive)
     assert w.features is cached
-
-
-def test_attach_features_subsets_roster(small_universe, book):
-    windows = make_windows(small_universe, 20, 5, 5)[:1]
-    windows = [type(windows[0])(windows[0].start, windows[0].end,
-                                windows[0].end_date, windows[0].target)]
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
-    keep = [i for i in range(N_FEATURES) if i not in CRISIS_FEATURES]
-    attach_features(small_universe, windows, defensive, feature_indices=keep)
-    assert windows[0].features.shape == (13, 20, N_FEATURES - len(CRISIS_FEATURES))
 
 
 def test_crisp_strategy_emits_feasible_weights_and_attention(

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from crisp import backtest, cli
 from crisp.cli import UsageError, echo_config, load_config, main
 from crisp.features import N_FEATURES
+from crisp.training import TrainConfig
 
 
 SMALL_RUN = """
@@ -21,6 +23,68 @@ max_epochs = 1
 batch_size = 16
 patience = 2
 """
+
+
+# every key of a run with no config, as echoed to resolved_config.ini
+DEFAULT_RESOLVED = """\
+[data]
+source = synthetic
+csv_path = {blank}
+universe_file = {blank}
+window = 20
+horizon = 5
+train_frac = 0.7
+train_stride = 3
+
+[synthetic]
+days = 1500
+seed = 11
+p_calm_to_crisis = 0.02
+p_crisis_to_calm = 0.1
+calm_vol = 0.01
+crisis_vol = 0.03
+calm_corr = 0.2
+crisis_corr = 0.8
+calm_mean = 0.0004
+crisis_mean = -0.002
+defensive_vol_factor = 0.4
+defensive_indices = auto
+
+[model]
+n_features = 31
+gat_heads = 4
+use_alloc_lstm = true
+static_graph = false
+init_seed = 0
+
+[train]
+learning_rate = 0.001
+lr_min = 1e-05
+batch_size = 32
+max_epochs = 200
+patience = 15
+val_fraction = 0.1
+clip_norm = 5.0
+seed = 0
+
+[loss]
+sharpe = 0.4
+sortino = 0.2
+risk = 0.3
+diversification = 0.05
+turnover = 0.05
+risk_free_daily = 0.0
+cvar_alpha = 0.05
+turnover_target = 0.02
+turnover_width = 0.01
+
+[backtest]
+strategies = crisp,equal_weight,mean_variance,risk_parity
+mv_risk_aversion = 1.0
+mv_lookback = 252
+rp_lookback = 252
+random_seed = 0
+""".format(blank="")
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -83,6 +147,43 @@ def test_echo_round_trip(tmp_path):
     cfg["model"]["use_alloc_lstm"] = False
     path = echo_config(cfg, str(tmp_path))
     assert load_config(path) == cfg
+
+
+def test_default_resolved_config_text(tmp_path):
+    path = echo_config(load_config(None), str(tmp_path))
+    with open(path) as fh:
+        assert fh.read() == DEFAULT_RESOLVED
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("model_section", ["", "[model]\nn_features = 27\n"],
+                         ids=["default", "crisisless_base"])
+def test_train_variant_and_ablation_build_equal_model_configs(
+        tmp_path, monkeypatch, capsys, book, prior, small_universe, model_section):
+    seen = []
+
+    def record(universe, book, prior, windows, model_config, *rest):
+        seen.append(model_config)
+        raise _Stop
+
+    cfg = write(tmp_path, SMALL_RUN + model_section)
+    monkeypatch.setattr(cli, "train_on_universe", record)
+    for variant in backtest.VARIANTS:
+        assert main(["train", "--config", cfg, "--variant", variant,
+                     "--out", str(tmp_path / variant)]) == 1
+    from_cli = list(seen)
+    seen.clear()
+
+    monkeypatch.setattr(backtest, "train_on_universe", record)
+    for row, _ in backtest.VARIANTS.values():
+        with pytest.raises(_Stop):
+            backtest.ablation_suite(small_universe, book, prior, [], [], TrainConfig(),
+                                    from_cli[0], only=[row])
+    assert len(seen) == len(backtest.VARIANTS) and seen == from_cli
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisp.data import (
     RegimeConfig,
@@ -9,7 +11,6 @@ from crisp.data import (
     generate_synthetic,
     load_csv,
     make_windows,
-    split_windows,
 )
 
 TICKERS3 = ["AAA", "BBB"]
@@ -100,6 +101,63 @@ def test_load_csv_requires_header(tmp_path):
     path.write_text("day,symbol,price\n2020-01-01,AAA,3\n")
     with pytest.raises(ValueError, match="date,ticker,close,volume"):
         load_csv(str(path), ["AAA"])
+
+
+@st.composite
+def csv_market(draw):
+    """A valid long-format market: every ticker on every day, rows shuffled."""
+    tickers = ["AAA", "BBB", "CCC"][:draw(st.integers(1, 3))]
+    days = [f"2020-01-{d:02d}" for d in range(1, draw(st.integers(2, 6)) + 1)]
+    closes = st.floats(0.01, 1e6, allow_nan=False, allow_infinity=False)
+    volumes = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
+    cells = [(d, t, draw(closes), draw(volumes)) for t in tickers for d in days]
+    return tickers, days, draw(st.permutations(cells))
+
+
+def _csv_line(date, ticker, close, volume):
+    return f"{date},{ticker},{close!r},{volume!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_market())
+def test_load_csv_property_valid_market_loads(tmp_path_factory, market):
+    tickers, days, cells = market
+    path = tmp_path_factory.mktemp("csv") / "prices.csv"
+    path.write_text("date,ticker,close,volume\n"
+                    + "\n".join(_csv_line(*c) for c in cells) + "\n")
+    u = load_csv(str(path), tickers)
+    assert u.dates == days
+    want = {(d, t): (c, v) for d, t, c, v in cells}
+    for i, t in enumerate(tickers):
+        assert [(u.closes[i, j], u.volumes[i, j]) for j in range(len(days))] == \
+            [want[(d, t)] for d in days]
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_market(), st.sampled_from(["nan", "inf", "-inf", "abc", "neg_volume",
+                                      "duplicate"]),
+       st.data())
+def test_load_csv_property_bad_row_names_its_line(tmp_path_factory, market, kind, data):
+    tickers, _, cells = market
+    lines = [_csv_line(*c) for c in cells]
+    k = data.draw(st.integers(0, len(lines) - 1), label="bad row")
+    date, ticker, close, volume = cells[k]
+    if kind == "duplicate":
+        # a second row for cell k, placed after it; the later copy is the bad one
+        at = data.draw(st.integers(k + 1, len(lines)), label="copy position")
+        lines.insert(at, _csv_line(date, ticker, close + 1.0, volume))
+        bad, problem = at, "duplicate"
+    elif kind == "neg_volume":
+        lines[k] = _csv_line(date, ticker, close, -1.0 - volume)
+        bad, problem = k, "negative volume"
+    else:
+        lines[k] = f"{date},{ticker},{kind},{volume!r}"
+        bad, problem = k, "unparseable" if kind == "abc" else "non-finite"
+    path = tmp_path_factory.mktemp("csv") / "prices.csv"
+    path.write_text("date,ticker,close,volume\n" + "\n".join(lines) + "\n")
+    # file line numbers count the header as line 1
+    with pytest.raises(ValueError, match=rf"line {bad + 2} \({ticker} on {date}\).*{problem}"):
+        load_csv(str(path), tickers)
 
 
 def test_universe_validation():
@@ -213,26 +271,6 @@ def test_window_targets_follow_features():
         assert np.array_equal(w.target, u.returns[:, w.end + 1:w.end + 6])
         assert w.end_date == u.return_dates[w.end]
         assert w.regime in (0, 1)
-
-
-def test_split_windows_membership_oracle():
-    u = generate_synthetic(TICKERS3, 1000, seed=9)
-    windows = make_windows(u, 20, 5, 5)
-    train, test, dropped = split_windows(windows, horizon=5, train_frac=0.8)
-    assert len(train) + len(test) + dropped == len(windows)
-    assert dropped >= 0
-    ids = {id(w) for w in windows}
-    assert all(id(w) in ids for w in train + test)
-    assert not ({id(w) for w in train} & {id(w) for w in test})
-    boundary = max(w.end + 5 for w in train)
-    assert all(w.start > boundary for w in test)
-
-
-def test_split_windows_all_before_boundary():
-    u = generate_synthetic(TICKERS3, 100, seed=10)
-    windows = make_windows(u, 20, 5, 5)
-    train, test, dropped = split_windows(windows, horizon=5, train_frac=1.0)
-    assert test == [] and len(train) + dropped == len(windows)
 
 
 def test_padded_inputs_shapes_and_flat_lead():

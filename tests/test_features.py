@@ -307,6 +307,14 @@ def test_normalizer_zero_variance_warns_unit_std(rng):
     assert np.allclose(out[..., 3], 0.0, atol=1e-15)  # centered, divided by 1
 
 
+def test_normalizer_names_zero_variance_feature_of_crisisless_array(rng):
+    keep = feature_columns(N_FEATURES - len(CRISIS_FEATURES))
+    feats = rng.standard_normal((2, 4, len(keep)))
+    feats[..., keep.index(IDX["price_zscore_20"])] = 7.0
+    with pytest.warns(UserWarning, match=r"zero-variance features \['price_zscore_20'\]"):
+        FeatureNormalizer().fit([feats])
+
+
 def test_features_depend_only_on_past_data(rng):
     prices, volumes, market = build_inputs(rng, n=3, t=8)
     base = compute_features(prices, volumes, market)

@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from crisp.allocation import PortfolioWeights
 from crisp.autodiff import Tensor
 from crisp.objectives import (
     EPS,
     LossWeights,
-    PeriodOutcome,
     l_div,
     l_risk,
     l_sharpe,
     l_sortino,
     l_turn,
-    loss,
     loss_from_batch,
     max_drawdown_curve,
     metrics,
@@ -25,13 +22,13 @@ from crisp.objectives import (
 from _gradcheck import max_rel_error
 
 
-def outcome(rng, n=13, h=5):
-    w = rng.dirichlet(np.full(n, 5.0))
-    w = np.clip(w, 0.02, 0.25)
-    w = w / w.sum()
-    prev = np.full(n, 1.0 / n)
-    rets = 0.02 * rng.standard_normal((n, h))
-    return PeriodOutcome(PortfolioWeights(w), prev, rets)
+def batch(rng, b, n=13, h=5):
+    """(weights, previous weights, asset returns) for b holding periods."""
+    w = np.clip(rng.dirichlet(np.full(n, 5.0), size=b), 0.02, 0.25)
+    w = w / w.sum(axis=1, keepdims=True)
+    prev = np.full((b, n), 1.0 / n)
+    rets = 0.02 * rng.standard_normal((b, n, h))
+    return w, prev, rets
 
 
 # -- fixed-point checks -------------------------------------------------------
@@ -107,13 +104,10 @@ def test_turnover_kernel_oracle(rng):
 
 
 def test_weighted_sum_composition(rng):
-    outcomes = [outcome(rng) for _ in range(6)]
+    weights, prev, rets = batch(rng, 6)
     lw = LossWeights()
-    total = loss(outcomes, lw).data
+    total = loss_from_batch(Tensor(weights), prev, rets, lw).data
 
-    weights = np.stack([o.weights.weights for o in outcomes])
-    prev = np.stack([o.previous_weights for o in outcomes])
-    rets = np.stack([o.asset_returns for o in outcomes])
     period = np.einsum("bn,bnh->bh", weights, rets)
     pooled = period.ravel()
 
@@ -137,31 +131,15 @@ def test_weighted_sum_composition(rng):
 
 
 def test_loss_weights_override(rng):
-    outcomes = [outcome(rng) for _ in range(3)]
+    weights, prev, rets = batch(rng, 3)
     lw = LossWeights(sharpe=1.0, sortino=0.0, risk=0.0, diversification=0.0,
                      turnover=0.0)
-    total = loss(outcomes, lw).data
-    weights = np.stack([o.weights.weights for o in outcomes])
-    rets = np.stack([o.asset_returns for o in outcomes])
+    total = loss_from_batch(Tensor(weights), prev, rets, lw).data
     pooled = np.einsum("bn,bnh->bh", weights, rets).ravel()
     want = -pooled.mean() / (pooled.std(ddof=0) + EPS)
     assert np.isclose(total, want, atol=1e-12, rtol=0)
     with pytest.raises(ValueError, match="non-negative"):
         LossWeights(sharpe=-0.1)
-
-
-def test_period_outcome_consistency_check(rng):
-    o = outcome(rng)
-    implied = o.weights.weights @ o.asset_returns
-    assert np.allclose(o.daily_returns, implied, atol=0)
-    with pytest.raises(ValueError, match="held fixed"):
-        PeriodOutcome(o.weights, o.previous_weights, o.asset_returns,
-                      daily_returns=implied + 0.001)
-
-
-def test_empty_batch_rejected():
-    with pytest.raises(ValueError, match="non-empty"):
-        loss([])
 
 
 def test_zero_variance_batch_stays_finite():
@@ -245,14 +223,7 @@ def test_monotone_returns_have_zero_drawdown(rng):
 
 
 def test_loss_gradient_reaches_weights(rng):
-    outcomes = [outcome(rng) for _ in range(4)]
-    total = loss(outcomes)
-    total.backward()
-    # the loss() entry point builds its own weight tensor; re-run through
-    # loss_from_batch to assert gradient flow explicitly
-    w = Tensor(np.stack([o.weights.weights for o in outcomes]), requires_grad=True)
-    prev = np.stack([o.previous_weights for o in outcomes])
-    rets = np.stack([o.asset_returns for o in outcomes])
-    t2 = loss_from_batch(w, prev, rets)
-    t2.backward()
+    weights, prev, rets = batch(rng, 4)
+    w = Tensor(weights, requires_grad=True)
+    loss_from_batch(w, prev, rets).backward()
     assert w.grad is not None and np.abs(w.grad).max() > 0.0

@@ -10,6 +10,7 @@ import pytest
 from crisp.autodiff import Parameter
 from crisp.backtest import attach_features
 from crisp.data import make_windows
+from crisp.features import feature_columns
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
 from crisp.training import (
@@ -296,6 +297,18 @@ def test_validation_tail_excluded_from_normalizer(windows, prior):
         [w.features.reshape(-1, w.features.shape[-1]) for w in ws[:3]]).mean(axis=0)
     # a leaked tail window would shift every feature mean by +250
     assert np.array_equal(mean, head_mean)
+
+
+def test_crisisless_train_fits_normalizer_on_kept_columns(windows, prior):
+    # windows cache the full roster; the 27-input model reads its own columns
+    model = CrispModel(ModelConfig(n_features=27, init_seed=0))
+    cfg = quick_config(learning_rate=0.0, lr_min=0.0, max_epochs=1)
+    result = train(model, windows, prior.normalized, cfg)
+    keep = feature_columns(27)
+    fit = np.concatenate([w.features[:, :, keep].reshape(-1, 27) for w in windows[:10]])
+    assert all(w.features.shape[-1] == 31 for w in windows)
+    assert np.array_equal(result.checkpoint.normalizer["normalizer.mean"], fit.mean(axis=0))
+    assert np.array_equal(result.checkpoint.normalizer["normalizer.std"], fit.std(axis=0))
 
 
 def test_early_stopping_on_flat_validation(windows, prior):

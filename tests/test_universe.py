@@ -5,7 +5,6 @@ import pytest
 from crisp.universe import (
     DEFAULT_TICKERS,
     DEFENSIVE_TICKERS,
-    AssetBook,
     load_asset_book,
 )
 
@@ -26,13 +25,6 @@ def test_defensive_mask_order():
     book = load_asset_book()
     mask = book.defensive_mask(["CL", "ORCL", "WMT"])
     assert mask == [True, False, True]
-
-
-def test_require_flags_unmapped_tickers():
-    book = AssetBook({"A": "s"}, {"A": "r"}, defensive=[])
-    book.require(["A"])
-    with pytest.raises(ValueError, match="B"):
-        book.require(["A", "B"])
 
 
 def test_custom_csv_round_trip(tmp_path):
