@@ -2,15 +2,18 @@
 
 Every learnable layer in the pipeline is built from the operations in this
 module.  A ``Tensor`` wraps a numpy array plus an optional gradient buffer
-and a backpropagation closure; calling :func:`backward` on a scalar loss
-walks the graph in reverse topological order and accumulates gradients into
-every reachable tensor that requires them.
+and a backpropagation closure that returns one gradient per parent.
+Calling :func:`backward` on a scalar loss walks the graph in reverse
+topological order and sums those gradients; it is the only code that does.
 
 Design notes:
 
 * float64 everywhere.  At desk scale (13 assets, 20-day windows) precision
   is cheaper than speed and keeps finite-difference checks noise-free.
-* Gradients accumulate across repeated backward calls; call
+* Only leaves keep ``.grad``: parameters and user tensors created with
+  ``requires_grad=True``.  Each interior gradient is freed as soon as its
+  node's backward has run, so an interior tensor's ``.grad`` stays ``None``.
+* Leaf gradients accumulate across repeated backward calls; call
   :meth:`Tensor.zero_grad` (or ``Model.zero_grads``) between steps.
 * ``clip`` passes gradient 1 inside the bounds and 0 outside.
 * Dropout uses inverted scaling at train time so eval mode is the identity.
@@ -81,23 +84,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A dense float64 array node in a reverse-mode autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op",
-                 "_grad_alias")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], Sequence] | None = None
         self.op = "leaf"
-        self._grad_alias = False
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], op: str,
-                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+                 backward: Callable[[np.ndarray], Sequence]) -> "Tensor":
+        """Wrap an op's output; it joins the graph if any parent requires grad.
+
+        ``backward`` maps the output's gradient to one gradient per parent,
+        in ``parents`` order (``None`` for a parent that needs none), and
+        neither writes a ``.grad`` nor mutates its argument.
+        """
         out = cls(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -129,30 +136,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
-            self._grad_alias = False
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        # The first contribution is kept by reference; a second contribution
-        # replaces it with a fresh sum so an aliased upstream buffer is never
-        # mutated in place.
-        if self.grad is None:
-            self.grad = grad if grad.shape == self.data.shape else \
-                np.broadcast_to(grad, self.data.shape).copy()
-            self._grad_alias = True
-        elif self._grad_alias:
-            self.grad = self.grad + grad
-            self._grad_alias = False
-        else:
-            self.grad += grad
-
-    def _own_grad(self) -> np.ndarray:
-        """Gradient buffer this tensor may mutate in place."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        elif self._grad_alias:
-            self.grad = self.grad.copy()
-        self._grad_alias = False
-        return self.grad
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -164,10 +147,8 @@ class Tensor:
         out_data = a.data + b.data
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.shape) if b.requires_grad else None)
 
         return Tensor._from_op(out_data, (a, b), "add", bwd)
 
@@ -178,10 +159,8 @@ class Tensor:
         out_data = a.data - b.data
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
         return Tensor._from_op(out_data, (a, b), "sub", bwd)
 
@@ -193,10 +172,8 @@ class Tensor:
         out_data = a.data * b.data
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
         return Tensor._from_op(out_data, (a, b), "mul", bwd)
 
@@ -207,10 +184,9 @@ class Tensor:
         out_data = a.data / b.data
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                    if b.requires_grad else None)
 
         return Tensor._from_op(out_data, (a, b), "div", bwd)
 
@@ -222,8 +198,7 @@ class Tensor:
         out_data = -a.data
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(-g)
+            return (-g,)
 
         return Tensor._from_op(out_data, (a,), "neg", bwd)
 
@@ -233,8 +208,7 @@ class Tensor:
         out_data = a.data ** p
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * p * a.data ** (p - 1.0))
+            return (g * p * a.data ** (p - 1.0),)
 
         return Tensor._from_op(out_data, (a,), "pow", bwd)
 
@@ -248,8 +222,7 @@ class Tensor:
         out_data = np.exp(a.data)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * out_data)
+            return (g * out_data,)
 
         return Tensor._from_op(out_data, (a,), "exp", bwd)
 
@@ -258,8 +231,7 @@ class Tensor:
         out_data = np.log(a.data)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g / a.data)
+            return (g / a.data,)
 
         return Tensor._from_op(out_data, (a,), "log", bwd)
 
@@ -268,8 +240,7 @@ class Tensor:
         out_data = np.sqrt(a.data)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / out_data)
+            return (g * 0.5 / out_data,)
 
         return Tensor._from_op(out_data, (a,), "sqrt", bwd)
 
@@ -278,8 +249,7 @@ class Tensor:
         out_data = np.tanh(a.data)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * (1.0 - out_data * out_data))
+            return (g * (1.0 - out_data * out_data),)
 
         return Tensor._from_op(out_data, (a,), "tanh", bwd)
 
@@ -288,8 +258,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-a.data))
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * out_data * (1.0 - out_data))
+            return (g * out_data * (1.0 - out_data),)
 
         return Tensor._from_op(out_data, (a,), "sigmoid", bwd)
 
@@ -299,8 +268,7 @@ class Tensor:
         out_data = np.where(mask, a.data, 0.0)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
+            return (g * mask,)
 
         return Tensor._from_op(out_data, (a,), "relu", bwd)
 
@@ -309,8 +277,7 @@ class Tensor:
         out_data = np.abs(a.data)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * np.sign(a.data))
+            return (g * np.sign(a.data),)
 
         return Tensor._from_op(out_data, (a,), "abs", bwd)
 
@@ -321,8 +288,7 @@ class Tensor:
         out_data = np.clip(a.data, lo, hi)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * inside)
+            return (g * inside,)
 
         return Tensor._from_op(out_data, (a,), "clip", bwd)
 
@@ -333,13 +299,9 @@ class Tensor:
         out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def bwd(g):
-            if not a.requires_grad:
-                return
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-            else:
-                gx = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(gx, a.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, a.shape).copy(),)
 
         return Tensor._from_op(out_data, (a,), "sum", bwd)
 
@@ -356,8 +318,7 @@ class Tensor:
         out_data = a.data.reshape(shape)
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(a.shape))
+            return (g.reshape(a.shape),)
 
         return Tensor._from_op(out_data, (a,), "reshape", bwd)
 
@@ -368,8 +329,7 @@ class Tensor:
         inv = tuple(np.argsort(axes))
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(np.transpose(g, inv))
+            return (np.transpose(g, inv),)
 
         return Tensor._from_op(out_data, (a,), "transpose", bwd)
 
@@ -383,25 +343,22 @@ class Tensor:
         out_data = np.broadcast_to(a.data, shape).copy()
 
         def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
+            return (_unbroadcast(g, a.shape),)
 
         return Tensor._from_op(out_data, (a,), "broadcast", bwd)
 
     def __getitem__(self, key):
         a = self
         out_data = a.data[key]
-        if np.isscalar(out_data) or out_data.ndim == 0:
-            out_data = np.asarray(out_data, dtype=np.float64)
         basic = _is_basic_key(key)
 
         def bwd(g):
-            if a.requires_grad:
-                gx = a._own_grad()
-                if basic:
-                    gx[key] += g
-                else:
-                    np.add.at(gx, key, g)
+            gx = np.zeros_like(a.data)
+            if basic:
+                gx[key] = g
+            else:
+                np.add.at(gx, key, g)
+            return (gx,)
 
         return Tensor._from_op(out_data, (a,), "slice", bwd)
 
@@ -438,10 +395,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a2.T @ g2)
+            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                    a2.T @ g2 if b.requires_grad else None)
 
         return Tensor._from_op(out_data, (a, b), "matmul", bwd)
 
@@ -453,12 +408,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ) from exc
 
     def bwd(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+                if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), "matmul", bwd)
 
@@ -479,9 +432,8 @@ def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        if x.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (g - inner) / temperature)
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        return (out_data * (g - inner) / temperature,)
 
     return Tensor._from_op(out_data, (x,), "softmax", bwd)
 
@@ -493,8 +445,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     out_data = np.where(mask, x.data, slope * x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * np.where(mask, 1.0, slope))
+        return (g * np.where(mask, 1.0, slope),)
 
     return Tensor._from_op(out_data, (x,), "leaky_relu", bwd)
 
@@ -506,10 +457,8 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.where(take_a, a.data, b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * take_a, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * ~take_a, b.shape))
+        return (_unbroadcast(g * take_a, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ~take_a, b.shape) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), "maximum", bwd)
 
@@ -517,15 +466,10 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+        return np.split(g, splits, axis=axis)
 
     return Tensor._from_op(out_data, tuple(tensors), "concat", bwd)
 
@@ -539,8 +483,9 @@ def gather(x: Tensor, indices: np.ndarray) -> Tensor:
     out_data = x.data[idx]
 
     def bwd(g):
-        if x.requires_grad:
-            np.add.at(x._own_grad(), idx, g)
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        return (gx,)
 
     return Tensor._from_op(out_data, (x,), "gather", bwd)
 
@@ -557,11 +502,14 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through its graph.
+    """Backpropagate from a scalar loss; the one place gradients are summed.
 
-    Gradients accumulate into every reachable tensor with
-    ``requires_grad=True``; repeated calls without ``zero_grad`` add up.
-    Raises if the loss is not a single-element tensor.
+    Leaves that require grad add in place into their own ``.grad``, so
+    repeated calls without ``zero_grad`` add up.  An interior gradient lives
+    in a local table until its node's backward has run, so an interior
+    tensor's ``.grad`` stays ``None``.  Its first contribution is kept by
+    reference and each later one makes a fresh sum, so a buffer an op hands
+    to two parents is never written.  Raises unless the loss is a scalar.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -582,13 +530,26 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             if id(parent) not in visited and parent._backward is not None:
                 stack.append((parent, False))
-            elif parent.requires_grad and parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
 
-    loss._accumulate(np.ones_like(loss.data))
+    grads: dict[int, np.ndarray] = {}
+
+    def add(t: Tensor, g: np.ndarray) -> None:
+        if t._backward is None:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad += g
+        else:
+            prev = grads.get(id(t))
+            grads[id(t)] = g if prev is None else prev + g
+
+    add(loss, np.ones_like(loss.data))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is not None and parent.requires_grad:
+                add(parent, pg)
 
 
 class Parameter:

@@ -16,6 +16,7 @@ transaction costs; turnover is reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -347,18 +348,28 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
                    loss_weights: LossWeights | None = None,
                    only: list[str] | None = None,
                    ) -> list[tuple[str, MetricSet]]:
-    """Train and evaluate each model variant, then the random-selection row."""
+    """Train and evaluate each model variant, then the random-selection row.
+
+    Raises ``ValueError``, before any training, if two variants build the
+    same model under ``base_config`` (one that already drops the crisis
+    features, say), since their rows would repeat under two labels.
+    """
     base = base_config or ModelConfig(n_assets=universe.n_assets)
+    configs = {name: replace(base, **overrides) for name, overrides in VARIANTS.values()}
+    for first, second in combinations(configs, 2):
+        if configs[first] == configs[second]:
+            raise ValueError(f"ablation rows {first!r} and {second!r} build the same "
+                             f"model under this base config")
     defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
     rows: list[tuple[str, MetricSet]] = []
-    for name, overrides in [*VARIANTS.values(), (_RANDOM_ROW, None)]:
+    for name in [*configs, _RANDOM_ROW]:
         if only is not None and name not in only:
             continue
-        if overrides is None:
+        if name == _RANDOM_ROW:
             strat = random_selection(seed=train_config.seed)
         else:
             _, result = train_on_universe(
-                universe, book, prior, train_windows, replace(base, **overrides),
+                universe, book, prior, train_windows, configs[name],
                 train_config, loss_weights)
             strat = crisp_strategy(result.checkpoint, prior, defensive, name=name)
         report = run_backtest(strat, universe, test_windows)

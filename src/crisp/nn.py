@@ -46,10 +46,11 @@ class LSTM:
     the input projection: it writes ``x @ wx + b`` for all steps into one
     (B, T, 4H) buffer, adds the (H -> 4H) recurrent projection step by step
     and overwrites the buffer with the gate activations; its backward is a
-    hand-written backpropagation through time.  The 4H axis splits into
-    input, forget, cell and output gates in that order.  The node keeps the
-    gate buffer and the cell states only when grad is on and a parent
-    requires it.
+    hand-written backpropagation through time that returns the gradients of
+    the input, the input weights, the gate bias and the recurrent weights.
+    The 4H axis splits into input, forget, cell and output gates in that
+    order.  The node keeps the gate buffer and the cell states only when
+    grad is on and a parent requires it.
     """
 
     def __init__(self, bag: ParameterBag, name: str, in_dim: int, hidden_dim: int,
@@ -143,19 +144,15 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
                 dc = dc * f
                 dh = dzt @ wh.data.T
         dz2 = dz.reshape(-1, width)
-        if x.requires_grad:
-            x._accumulate((dz2 @ wx.data.T).reshape(x.shape))
-        if wx.requires_grad:
-            wx._accumulate(x2.T @ dz2)
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(dz, bias.shape))
-        if wh.requires_grad:
-            # h_prev of every step, zero for the first processed one
-            h_prev = np.zeros_like(out)
-            if reverse:
-                h_prev[:, :-1] = out[:, 1:]
-            else:
-                h_prev[:, 1:] = out[:, :-1]
-            wh._accumulate(h_prev.reshape(-1, hd).T @ dz2)
+        # h_prev of every step, zero for the first processed one
+        h_prev = np.zeros_like(out)
+        if reverse:
+            h_prev[:, :-1] = out[:, 1:]
+        else:
+            h_prev[:, 1:] = out[:, :-1]
+        # the three weight gradients are always formed; backward drops any
+        # whose tensor does not require grad
+        return ((dz2 @ wx.data.T).reshape(x.shape) if x.requires_grad else None,
+                x2.T @ dz2, _unbroadcast(dz, bias.shape), h_prev.reshape(-1, hd).T @ dz2)
 
     return Tensor._from_op(out, parents, "lstm", bwd)

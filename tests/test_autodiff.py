@@ -280,6 +280,36 @@ def test_repeated_backward_accumulates_until_zero_grad():
     assert np.allclose(x.grad, [3.0])
 
 
+def test_backward_twice_on_one_graph_doubles_the_gradient():
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    loss = (x * 3.0).sum()
+    loss.backward()
+    loss.backward()
+    assert np.array_equal(x.grad, [6.0])
+
+
+def test_gradient_handed_to_two_parents_is_not_written_in_place():
+    # s + a gives one buffer to both s and a; s then hands its gradient to a
+    # and b, so adding a's second contribution in place would leak into b
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    y = Tensor(np.array([1.0]), requires_grad=True)
+    a = x * 1.0
+    s = a + y * 1.0
+    (s + a).sum().backward()
+    assert np.array_equal(x.grad, [2.0])
+    assert np.array_equal(y.grad, [1.0])
+
+
+def test_only_leaves_keep_gradients_after_backward(rng):
+    p = Parameter("w", rng.standard_normal((3, 2)))
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    h = matmul(x, p.tensor)
+    out = (h.tanh() + h).sum()
+    out.backward()
+    assert h.grad is None and out.grad is None
+    assert np.abs(p.grad).max() > 0.0 and np.abs(x.grad).max() > 0.0
+
+
 def test_no_grad_builds_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():

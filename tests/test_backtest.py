@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crisp import backtest
 from crisp.allocation import PortfolioWeights, project_constraints
 from crisp.backtest import (
     ABLATION_NAMES,
@@ -253,3 +254,18 @@ def test_ablation_names_and_csv():
     lines = text.strip().split("\n")
     assert lines[0].startswith("configuration,sharpe")
     assert lines[1].startswith('"Full CRISP",1,2,0.1,')
+
+
+@pytest.mark.parametrize("base, rows", [
+    ({"n_features": 27}, "'Full CRISP' and 'w/o Crisis Features'"),
+    ({"gat_heads": 1}, "'Full CRISP' and 'w/o Multi-Head Attn'"),
+], ids=["crisisless", "single_head"])
+def test_ablation_suite_rejects_a_base_that_repeats_a_row(
+        monkeypatch, small_universe, book, prior, base, rows):
+    def no_training(*args):
+        raise AssertionError("ablation_suite trained before checking its rows")
+
+    monkeypatch.setattr(backtest, "train_on_universe", no_training)
+    config = ModelConfig(n_assets=small_universe.n_assets, **base)
+    with pytest.raises(ValueError, match=rows):
+        backtest.ablation_suite(small_universe, book, prior, [], [], TrainConfig(), config)

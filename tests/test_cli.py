@@ -159,10 +159,12 @@ class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("model_section", ["", "[model]\nn_features = 27\n"],
-                         ids=["default", "crisisless_base"])
+@pytest.mark.parametrize("model_section, repeated", [
+    ("", None),
+    ("[model]\nn_features = 27\n", "'Full CRISP' and 'w/o Crisis Features'"),
+], ids=["default", "crisisless_base"])
 def test_train_variant_and_ablation_build_equal_model_configs(
-        tmp_path, monkeypatch, capsys, book, prior, small_universe, model_section):
+        tmp_path, monkeypatch, capsys, book, prior, small_universe, model_section, repeated):
     seen = []
 
     def record(universe, book, prior, windows, model_config, *rest):
@@ -179,10 +181,12 @@ def test_train_variant_and_ablation_build_equal_model_configs(
 
     monkeypatch.setattr(backtest, "train_on_universe", record)
     for row, _ in backtest.VARIANTS.values():
-        with pytest.raises(_Stop):
+        # a base that already is one variant makes two rows the same model
+        with pytest.raises(ValueError if repeated else _Stop, match=repeated):
             backtest.ablation_suite(small_universe, book, prior, [], [], TrainConfig(),
                                     from_cli[0], only=[row])
-    assert len(seen) == len(backtest.VARIANTS) and seen == from_cli
+    assert seen == ([] if repeated else from_cli)
+    assert len(from_cli) == len(backtest.VARIANTS)
     capsys.readouterr()
 
 

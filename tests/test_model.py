@@ -136,4 +136,4 @@ def test_training_step_peak_memory(prior):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 360e6, f"train step peak {peak / 1e6:.1f} MB"
+    assert peak < 250e6, f"train step peak {peak / 1e6:.1f} MB"
