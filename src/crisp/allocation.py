@@ -36,6 +36,7 @@ __all__ = [
 WEIGHT_FLOOR = 0.02
 WEIGHT_CAP = 0.25
 TEMPERATURE = 0.8
+DROPOUT_RATE = 0.3
 _TOL = 1e-9
 _MAX_ITER = 100
 
@@ -50,18 +51,18 @@ class PortfolioWeights:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
 
-    def validate(self, tol: float = _TOL) -> None:
+    def validate(self) -> None:
         w = self.weights
-        if abs(w.sum() - 1.0) > tol:
+        if abs(w.sum() - 1.0) > _TOL:
             raise ValueError(f"weights sum to {w.sum():.12f}, not 1")
-        if (w < WEIGHT_FLOOR - tol).any() or (w > WEIGHT_CAP + tol).any():
+        if (w < WEIGHT_FLOOR - _TOL).any() or (w > WEIGHT_CAP + _TOL).any():
             raise ValueError(
                 f"weights outside [{WEIGHT_FLOOR}, {WEIGHT_CAP}]: min {w.min():.6f}, "
                 f"max {w.max():.6f}")
 
-    def is_feasible(self, tol: float = _TOL) -> bool:
+    def is_feasible(self) -> bool:
         try:
-            self.validate(tol)
+            self.validate()
             return True
         except ValueError:
             return False
@@ -75,20 +76,19 @@ def check_feasible_universe(n_assets: int) -> None:
             f"{WEIGHT_FLOOR} * N <= 1 <= {WEIGHT_CAP} * N")
 
 
-def project_constraints(w: np.ndarray, tol: float = _TOL,
-                        max_iter: int = _MAX_ITER) -> np.ndarray:
+def project_constraints(w: np.ndarray) -> np.ndarray:
     """Project a non-negative vector onto the bounded simplex.
 
     Clips into the box, then rescales the coordinates free to move in the
     needed direction so the total returns to 1; repeats until the largest
-    violation is below ``tol``.  Raises if the budget is infeasible.
+    violation is below 1e-9.  Raises if the budget is infeasible.
     """
     w = np.asarray(w, dtype=np.float64).copy()
     check_feasible_universe(w.size)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CAP)
         s = w.sum()
-        if abs(s - 1.0) <= tol:
+        if abs(s - 1.0) <= _TOL:
             return w
         if s > 1.0:
             free = w > WEIGHT_FLOOR
@@ -97,13 +97,12 @@ def project_constraints(w: np.ndarray, tol: float = _TOL,
         fixed_sum = w[~free].sum()
         w[free] *= (1.0 - fixed_sum) / w[free].sum()
     w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CAP)
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > _TOL:
         raise RuntimeError(f"projection failed to converge: sum {w.sum():.12f}")
     return w
 
 
-def project_constraints_tensor(w: Tensor, tol: float = _TOL,
-                               max_iter: int = _MAX_ITER) -> Tensor:
+def project_constraints_tensor(w: Tensor) -> Tensor:
     """Differentiable batched projection of (B, N) rows onto the bounded simplex.
 
     The free/fixed partition per iteration is treated as constant (the
@@ -111,14 +110,14 @@ def project_constraints_tensor(w: Tensor, tol: float = _TOL,
     pass-through and the renormalization arithmetic.
     """
     check_feasible_universe(w.shape[-1])
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = w.clip(WEIGHT_FLOOR, WEIGHT_CAP)
         sums = w.data.sum(axis=-1, keepdims=True)
-        if np.abs(sums - 1.0).max() <= tol:
+        if np.abs(sums - 1.0).max() <= _TOL:
             return w
         over = sums > 1.0
         free = np.where(over, w.data > WEIGHT_FLOOR, w.data < WEIGHT_CAP)
-        free &= np.abs(sums - 1.0) > tol          # converged rows stay untouched
+        free &= np.abs(sums - 1.0) > _TOL         # converged rows stay untouched
         free_t = Tensor(free.astype(np.float64))
         fixed_t = Tensor(1.0 - free_t.data)
         fixed_sum = (w * fixed_t).sum(axis=-1, keepdims=True)
@@ -128,7 +127,7 @@ def project_constraints_tensor(w: Tensor, tol: float = _TOL,
         scale = (1.0 - fixed_sum) / safe_free_sum
         w = w * fixed_t + w * free_t * scale
     w = w.clip(WEIGHT_FLOOR, WEIGHT_CAP)
-    if np.abs(w.data.sum(axis=-1) - 1.0).max() > tol:
+    if np.abs(w.data.sum(axis=-1) - 1.0).max() > _TOL:
         raise RuntimeError("batched projection failed to converge")
     return w
 
@@ -150,11 +149,9 @@ class AllocationHead:
     """Shared per-asset LSTM aggregation, dropout MLP scoring, weight mapping."""
 
     def __init__(self, bag: ParameterBag, rng: np.random.Generator,
-                 in_dim: int = 256, hidden: int = 32, use_lstm: bool = True,
-                 dropout_rate: float = 0.3):
+                 in_dim: int = 256, hidden: int = 32, use_lstm: bool = True):
         self.hidden = hidden
         self.use_lstm = use_lstm
-        self.dropout_rate = dropout_rate
         if use_lstm:
             self.lstm = LSTM(bag, "alloc.lstm", in_dim, hidden, rng)
         else:
@@ -183,7 +180,7 @@ class AllocationHead:
                training: bool) -> Tensor:
         """(B, N, 32) -> (B, N) raw scores; dropout active only in training."""
         h = self.mlp_hidden(agg).relu()
-        h = dropout(h, self.dropout_rate, rng, training)
+        h = dropout(h, DROPOUT_RATE, rng, training)
         return self.mlp_out(h).reshape(agg.shape[0], agg.shape[1])
 
     def __call__(self, temp: Tensor, spat: Tensor, rng: np.random.Generator,

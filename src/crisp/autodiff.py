@@ -5,6 +5,9 @@ module.  A ``Tensor`` wraps a numpy array plus an optional gradient buffer
 and a backpropagation closure that returns one gradient per parent.
 Calling :func:`backward` on a scalar loss walks the graph in reverse
 topological order and sums those gradients; it is the only code that does.
+A learnable weight is a :class:`Parameter`, a leaf ``Tensor`` with a name
+(``spatial.w1``, ``gat.w``, ...); layers use it directly as an operand, and
+a model's :class:`ParameterBag` keeps them in one flat namespace.
 
 Design notes:
 
@@ -552,29 +555,18 @@ def backward(loss: Tensor) -> None:
                 add(parent, pg)
 
 
-class Parameter:
-    """A named tensor the optimizer updates; gradient buffer allocated eagerly."""
+class Parameter(Tensor):
+    """A named leaf tensor the optimizer updates; gradient buffer allocated eagerly."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, value: np.ndarray):
+        super().__init__(np.array(value, dtype=np.float64), requires_grad=True)
         self.name = name
-        self.tensor = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-        self.tensor.grad = np.zeros_like(self.tensor.data)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.zero_grad()
+        self.grad = np.zeros_like(self.data)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 class ParameterBag:
@@ -626,8 +618,8 @@ class ParameterBag:
         if stale:
             raise ValueError(f"checkpoint has entries with no model parameter: {stale}")
         for name, p in self._params.items():
-            p.tensor.data = np.array(state[name], dtype=np.float64)
-            p.tensor.grad = np.zeros_like(p.tensor.data)
+            p.data = np.array(state[name], dtype=np.float64)
+            p.grad = np.zeros_like(p.data)
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:

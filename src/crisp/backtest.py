@@ -15,7 +15,7 @@ transaction costs; turnover is reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
 from typing import Callable
 
@@ -51,6 +51,8 @@ __all__ = [
 
 CORR_LOOKBACK = 252
 CORR_THRESHOLD = 0.5
+_MV_STEPS, _MV_STEP_SIZE = 500, 0.01
+_RP_TOL, _RP_MAX_SWEEPS = 1e-8, 10000
 
 
 @dataclass
@@ -151,9 +153,8 @@ def equal_weight() -> Strategy:
     return Strategy("Equal Weight", fn)
 
 
-def mean_variance(risk_aversion: float = 1.0, lookback: int = 252,
-                  steps: int = 500, step_size: float = 0.01) -> Strategy:
-    """Markowitz utility maximized by projected gradient ascent."""
+def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
+    """Markowitz utility maximized by projected gradient ascent (500 steps of 0.01)."""
     strat = Strategy("Mean-Variance", None)
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
@@ -166,17 +167,16 @@ def mean_variance(risk_aversion: float = 1.0, lookback: int = 252,
         mu = hist.mean(axis=1)
         sigma = np.cov(hist) + 1e-6 * np.eye(n)
         w = np.full(n, 1.0 / n)
-        for _ in range(steps):
+        for _ in range(_MV_STEPS):
             grad = mu - 2.0 * risk_aversion * (sigma @ w)
-            w = project_constraints(w + step_size * grad)
+            w = project_constraints(w + _MV_STEP_SIZE * grad)
         return PortfolioWeights(w)
 
     strat.weight_fn = fn
     return strat
 
 
-def risk_parity_weights(cov: np.ndarray, tol: float = 1e-8,
-                        max_sweeps: int = 10000) -> np.ndarray:
+def risk_parity_weights(cov: np.ndarray) -> np.ndarray:
     """Equal-risk-contribution weights by cyclical coordinate iteration.
 
     Minimizes (1/2) y' C y - (1/N) sum ln y_i coordinate-wise; the
@@ -189,14 +189,14 @@ def risk_parity_weights(cov: np.ndarray, tol: float = 1e-8,
     if (diag <= 0.0).any():
         raise ValueError("risk parity needs strictly positive variances")
     y = 1.0 / np.sqrt(diag * n)
-    for _ in range(max_sweeps):
+    for _ in range(_RP_MAX_SWEEPS):
         y_prev = y.copy()
         for i in range(n):
             resid = c[i] @ y - c[i, i] * y[i]
             y[i] = (-resid + np.sqrt(resid * resid + 4.0 * c[i, i] / n)) / (2.0 * c[i, i])
         w = y / y.sum()
         contrib = w * (c @ w)
-        if contrib.max() - contrib.min() <= tol * contrib.max():
+        if contrib.max() - contrib.min() <= _RP_TOL * contrib.max():
             return w
         if np.abs(y - y_prev).max() < 1e-15:
             break
@@ -378,11 +378,7 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
 
 
 def ablation_csv(rows: list[tuple[str, MetricSet]]) -> str:
-    lines = ["configuration,sharpe,sortino,ann_return,ann_vol,max_drawdown,calmar,avg_turnover"]
+    lines = ["configuration," + ",".join(f.name for f in fields(MetricSet))]
     for name, ms in rows:
-        d = ms.to_dict()
-        lines.append(
-            f'"{name}",{d["sharpe"]:.6g},{d["sortino"]:.6g},{d["ann_return"]:.6g},'
-            f'{d["ann_vol"]:.6g},{d["max_drawdown"]:.6g},{d["calmar"]:.6g},'
-            f'{d["avg_turnover"]:.6g}')
+        lines.append(f'"{name}",' + ",".join(f"{v:.6g}" for v in asdict(ms).values()))
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -224,8 +224,9 @@ def _plan_windows(cfg, universe: Universe):
     window, horizon = d["window"], d["horizon"]
     if not 0.0 < d["train_frac"] < 1.0:
         raise UsageError("[data] train_frac must be strictly between 0 and 1")
-    if d["train_stride"] < 1:
-        raise UsageError("[data] train_stride must be >= 1")
+    for key in ("window", "horizon", "train_stride"):
+        if d[key] < 1:
+            raise UsageError(f"[data] {key} must be >= 1, got {d[key]}")
     boundary = int(universe.n_return_days * d["train_frac"])
     train = [w for w in make_windows(universe, window, horizon, d["train_stride"])
              if w.end + horizon <= boundary]
@@ -389,7 +390,7 @@ def cmd_backtest(args) -> int:
         _write(os.path.join(out, f"equity_{slug}.csv"), report.equity_csv())
         _write(os.path.join(out, f"weights_{slug}.csv"),
                report.weights_csv(universe.tickers))
-        entry = dict(report.metric_set.to_dict())
+        entry = asdict(report.metric_set)
         entry["infeasible_periods"] = report.infeasible_periods
         entry["fallback_events"] = len(strat.fallback_events)
         summary["strategies"][report.strategy] = entry
@@ -398,7 +399,7 @@ def cmd_backtest(args) -> int:
             _write(os.path.join(out, f"attention_{slug}.csv"),
                    telemetry_csv(report.attention))
             _write(os.path.join(out, f"attention_summary_{slug}.json"),
-                   json.dumps(sparsity_report(report.attention, mask).to_dict(),
+                   json.dumps(asdict(sparsity_report(report.attention, mask)),
                               indent=2, sort_keys=True) + "\n")
         m = report.metric_set
         print(f"{report.strategy}: sharpe {m.sharpe:.3f}, "

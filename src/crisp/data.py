@@ -284,8 +284,12 @@ def make_windows(universe: Universe, window: int = 20, horizon: int = 5,
     """Slice the return history into overlapping windows with forward targets.
 
     With R usable return days the count is floor((R - window - horizon) / stride) + 1;
-    a history too short for even one window raises.
+    a history too short for even one window raises, as does a window,
+    horizon or stride below 1.
     """
+    for name, value in (("window", window), ("horizon", horizon), ("stride", stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     r = universe.n_return_days
     if r < window + horizon:
         raise ValueError(

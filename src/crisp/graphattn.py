@@ -5,14 +5,17 @@ directed off-diagonal edges at N=13).  Each asset's input at a time step
 is z = [temporal || spatial], the step's 128-wide temporal embedding joined
 with the window's spatial one.  Per head k, edge scores are
 
-    e_ij = LeakyReLU(a_k^T [W_k z_i || W_k z_j])
+    e_ij = LeakyReLU(a_k^T [W_k z_i || W_k z_j])      (slope 0.2)
 
 softmax-normalized over j (self-edge included for stability; excluded
 from all telemetry), and refined embeddings concatenate the per-head
-attention-weighted sums.  The spatial half is the same at every step, so
-W z is computed as temporal @ W_top + spatial @ W_bottom with the second
-term broadcast over time; the joined input is never built.  No hard
-threshold is applied anywhere; sparsity is an emergent, reported property.
+attention-weighted sums.  Two parameters hold every head: ``gat.w`` is
+(in_dim, 128) with the W_k side by side, so one product W z projects all
+heads at once, and ``gat.a`` is (heads, 2 * head_dim) with a_k as row k.
+The spatial half is the same at every step, so W z is computed as
+temporal @ W_top + spatial @ W_bottom with the second term broadcast over
+time; the joined input is never built.  No hard threshold is applied
+anywhere; sparsity is an emergent, reported property.
 
 Telemetry bins the head-mean off-diagonal weights as low < 0.1,
 mid 0.1..0.3 (inclusive), high > 0.3; per-head bins are also emitted but
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterBag, Tensor, concat, leaky_relu, matmul, softmax, uniform_init
+from .autodiff import ParameterBag, Tensor, leaky_relu, matmul, softmax, uniform_init
 from .nn import joined_matmul
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
 
 EDGE_THRESHOLD_LOW = 0.1
 EDGE_THRESHOLD_HIGH = 0.3
+LEAKY_SLOPE = 0.2
 _REFINED = 128
 
 
@@ -45,17 +49,17 @@ class GatLayer:
     """Multi-head graph attention over the fully connected candidate graph."""
 
     def __init__(self, bag: ParameterBag, rng: np.random.Generator,
-                 n_heads: int = 4, in_dim: int = 256, slope: float = 0.2):
+                 n_heads: int = 4, in_dim: int = 256):
         if _REFINED % n_heads != 0:
             raise ValueError(f"{n_heads} heads do not divide refined width {_REFINED}")
         self.n_heads = n_heads
-        self.head_dim = _REFINED // n_heads
-        self.slope = slope
-        self.w = [bag.register(f"gat.w{k}", uniform_init(rng, in_dim, (in_dim, self.head_dim)))
-                  for k in range(n_heads)]
-        self.a = [bag.register(f"gat.a{k}", uniform_init(rng, 2 * self.head_dim,
-                                                         (2 * self.head_dim,)))
-                  for k in range(n_heads)]
+        self.head_dim = hd = _REFINED // n_heads
+        # drawn head by head, every W_k before every a_k: the draw order
+        # fixes each seed's initial values
+        ws = [uniform_init(rng, in_dim, (in_dim, hd)) for _ in range(n_heads)]
+        avs = [uniform_init(rng, 2 * hd, (2 * hd,)) for _ in range(n_heads)]
+        self.w = bag.register("gat.w", np.concatenate(ws, axis=1))
+        self.a = bag.register("gat.a", np.stack(avs))
 
     def __call__(self, temp: Tensor, spat: Tensor) -> tuple[Tensor, Tensor]:
         """temp (B, T, N, d_t), spat (B, N, d_s) -> refined (B, T, N, 128), alphas.
@@ -68,15 +72,14 @@ class GatLayer:
         if n < 2:
             raise ValueError(f"graph attention needs at least 2 assets, got {n}")
         heads, hd = self.n_heads, self.head_dim
-        w = concat([p.tensor for p in self.w], axis=1)             # (in_dim, 128)
-        wz = joined_matmul(temp, spat, w)                          # (B, T, N, 128)
+        wz = joined_matmul(temp, spat, self.w)                     # (B, T, N, 128)
         wz = wz.reshape(b, steps, n, heads, hd).transpose((0, 1, 3, 2, 4))
-        a = concat([p.tensor for p in self.a]).reshape(heads, 1, 2 * hd)
+        a = self.a.reshape(heads, 1, 2 * hd)
         src = (wz * a[:, :, :hd]).sum(axis=-1)                     # (B, T, heads, N)
         dst = (wz * a[:, :, hd:]).sum(axis=-1)
         # src_i + dst_j over all ordered pairs
         e = src.reshape(b, steps, heads, n, 1) + dst.reshape(b, steps, heads, 1, n)
-        alpha = softmax(leaky_relu(e, self.slope), axis=-1)        # (B, T, heads, N, N)
+        alpha = softmax(leaky_relu(e, LEAKY_SLOPE), axis=-1)       # (B, T, heads, N, N)
         refined = matmul(alpha, wz).transpose((0, 1, 3, 2, 4))
         return refined.reshape(b, steps, n, _REFINED), alpha
 
@@ -144,18 +147,6 @@ class SparsityReport:
     effective_degree_per_node: list[float]
     defensive_share: float
     binning: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_assets": self.n_assets,
-            "bin_fractions": self.bin_fractions,
-            "per_head_bin_fractions": self.per_head_bin_fractions,
-            "mean_effective_degree": self.mean_effective_degree,
-            "effective_degree_per_node": self.effective_degree_per_node,
-            "defensive_share": self.defensive_share,
-            "binning": self.binning,
-        }
 
 
 def sparsity_report(records: list[AttentionRecord],

@@ -95,6 +95,8 @@ class CrispModel:
         """
         cfg = self.config
         b, n, steps, feats = features.shape
+        if n != cfg.n_assets:
+            raise ValueError(f"model built for {cfg.n_assets} assets, got {n}")
         if feats != cfg.n_features:
             raise ValueError(f"model built for {cfg.n_features} features, got {feats}")
         x = Tensor(features)
@@ -109,7 +111,7 @@ class CrispModel:
                 raise ValueError("static-graph variant requires per-window adjacencies")
             adj = Tensor(np.asarray(static_adjacency, dtype=np.float64)
                          .reshape(b, 1, n, n))
-            refined = matmul(adj, joined_matmul(temp, spat, self.w_static.tensor)).relu()
+            refined = matmul(adj, joined_matmul(temp, spat, self.w_static)).relu()
             alphas_out = None
         else:
             refined, alphas = self.gat(temp, spat)

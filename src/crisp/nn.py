@@ -23,9 +23,9 @@ class Linear:
         self.b = bag.register(f"{name}.b", uniform_init(rng, in_dim, (out_dim,))) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.w.tensor)
+        y = matmul(x, self.w)
         if self.b is not None:
-            y = y + self.b.tensor
+            y = y + self.b
         return y
 
 
@@ -67,7 +67,7 @@ class LSTM:
         With ``reverse=True`` the sequence is consumed right to left and the
         output is re-aligned so row t still describes timestep t.
         """
-        return _recurrence(x, self.wx.tensor, self.b.tensor, self.wh.tensor, reverse)
+        return _recurrence(x, self.wx, self.b, self.wh, reverse)
 
     def run_joined(self, temp: Tensor, spat: Tensor) -> Tensor:
         """Forward run over [temp_t || spat]: temp (B, T, d_t), spat (B, d_s) -> (B, T, H).
@@ -76,9 +76,8 @@ class LSTM:
         ``spat @ wx[d_t:] + b``; the joined input is never built.
         """
         split = temp.shape[-1]
-        wx = self.wx.tensor
-        bias = (matmul(spat, wx[split:]) + self.b.tensor).reshape(spat.shape[0], 1, -1)
-        return _recurrence(temp, wx[:split], bias, self.wh.tensor, reverse=False)
+        bias = (matmul(spat, self.wx[split:]) + self.b).reshape(spat.shape[0], 1, -1)
+        return _recurrence(temp, self.wx[:split], bias, self.wh, reverse=False)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

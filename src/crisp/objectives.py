@@ -65,6 +65,10 @@ class LossWeights:
         for name in ("sharpe", "sortino", "risk", "diversification", "turnover"):
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be non-negative")
+        if not 0.0 < self.cvar_alpha <= 1.0:
+            raise ValueError(f"cvar_alpha must lie in (0, 1], got {self.cvar_alpha}")
+        if not self.turnover_width > 0.0:
+            raise ValueError(f"turnover_width must be positive, got {self.turnover_width}")
 
 
 # -- differentiable loss terms ------------------------------------------------
@@ -182,17 +186,6 @@ class MetricSet:
     max_drawdown: float            # negative or zero
     calmar: float
     avg_turnover: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "sharpe": self.sharpe,
-            "sortino": self.sortino,
-            "ann_return": self.ann_return,
-            "ann_vol": self.ann_vol,
-            "max_drawdown": self.max_drawdown,
-            "calmar": self.calmar,
-            "avg_turnover": self.avg_turnover,
-        }
 
 
 def max_drawdown_curve(daily_returns: np.ndarray) -> float:

@@ -116,7 +116,7 @@ class SpatialEncoder:
         same prior graph is shared across a batch, a per-sample stack works
         too.
         """
-        h0 = matmul(window_mean_features, self.w_in.tensor)
-        h1 = matmul(normalized_adjacency, matmul(h0, self.w1.tensor)).relu()
-        h2 = matmul(normalized_adjacency, matmul(h1, self.w2.tensor)).relu()
+        h0 = matmul(window_mean_features, self.w_in)
+        h1 = matmul(normalized_adjacency, matmul(h0, self.w1)).relu()
+        h2 = matmul(normalized_adjacency, matmul(h1, self.w2)).relu()
         return h2 + 0.5 * h0

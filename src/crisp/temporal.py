@@ -63,14 +63,14 @@ class TemporalEncoder:
         into one (256, 128) matrix, so the result is the per-step embedding.
         """
         rows, steps, _ = h.shape
-        q = self._split_heads(matmul(h, self.wq.tensor), rows, steps)
-        k = self._split_heads(matmul(h, self.wk.tensor), rows, steps)
-        v = self._split_heads(matmul(h, self.wv.tensor), rows, steps)
+        q = self._split_heads(matmul(h, self.wq), rows, steps)
+        k = self._split_heads(matmul(h, self.wk), rows, steps)
+        v = self._split_heads(matmul(h, self.wv), rows, steps)
         scores = matmul(q, k.swap_last_two()) * (1.0 / math.sqrt(self.head_dim))
         weights = softmax(scores, axis=-1)                    # (rows, heads, T, T)
         mixed = matmul(weights, v)
         mixed = mixed.transpose((0, 2, 1, 3)).reshape(rows, steps, _MODEL)
-        out = matmul(mixed, matmul(self.w_out.tensor, self.w_step.tensor))
+        out = matmul(mixed, matmul(self.w_out, self.w_step))
         if return_weights:
             return out, weights
         return out

@@ -40,6 +40,7 @@ __all__ = [
 
 _MAGIC = b"CRSPCKPT"
 _VERSION = 1
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -54,10 +55,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.learning_rate < 0.0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.lr_min <= self.learning_rate:
+            raise ValueError(f"lr_min must lie in [0, learning_rate={self.learning_rate}], "
+                             f"got {self.lr_min}")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie strictly between 0 and 1, "
+                             f"got {self.val_fraction}")
+        if not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 @dataclass
@@ -74,9 +87,9 @@ class AdamState:
         )
 
 
-def adam_step(params, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update with bias correction; raises on NaN gradients."""
+def adam_step(params, state: AdamState, lr: float) -> None:
+    """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8) with bias correction;
+    raises on NaN gradients."""
     state.t += 1
     t = state.t
     for p in params:
@@ -85,13 +98,13 @@ def adam_step(params, state: AdamState, lr: float,
             raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
         m = state.m[p.name]
         v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def cosine_lr(epoch: int, max_epochs: int, lr0: float, lr_min: float) -> float:
@@ -107,7 +120,7 @@ def clip_gradients(params, max_norm: float) -> tuple[float, bool]:
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params:
-            p.tensor.grad *= scale
+            p.grad *= scale
         return norm, True
     return norm, False
 

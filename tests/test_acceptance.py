@@ -181,7 +181,7 @@ def test_01_gradient_integrity():
         checked = 0
         eps = 1e-5
         for p in model.bag:
-            flat = p.tensor.data.ravel()
+            flat = p.data.ravel()
             grad = p.grad.ravel()
             for i in gen.choice(flat.size, size=min(2, flat.size), replace=False):
                 i = int(i)
@@ -309,7 +309,7 @@ def test_04_metric_oracles():
     for _ in range(1000):
         d = int(gen.integers(5, 261))
         r = gen.normal(gen.uniform(-0.002, 0.002), gen.uniform(0.002, 0.03), d)
-        got = metrics(r).to_dict()
+        got = dataclasses.asdict(metrics(r))
         got["cvar"] = cvar(r)
         want = _oracle_metrics(r.tolist())
         for key, w in want.items():
@@ -567,7 +567,7 @@ def test_10_ablation_harness(small_universe, book, prior, small_windows):
     names = [name for name, _ in rows]
     assert names == ABLATION_NAMES
     for name, ms in rows:
-        for key, value in ms.to_dict().items():
+        for key, value in dataclasses.asdict(ms).items():
             assert math.isfinite(value), f"{name}: non-finite {key}"
 
     table = ablation_csv(rows)

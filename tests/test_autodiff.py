@@ -303,7 +303,7 @@ def test_gradient_handed_to_two_parents_is_not_written_in_place():
 def test_only_leaves_keep_gradients_after_backward(rng):
     p = Parameter("w", rng.standard_normal((3, 2)))
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    h = matmul(x, p.tensor)
+    h = matmul(x, p)
     out = (h.tanh() + h).sum()
     out.backward()
     assert h.grad is None and out.grad is None
@@ -339,8 +339,10 @@ def test_deep_chain_exceeds_recursion_limit():
 def test_parameter_bag_register_and_state(rng):
     bag = ParameterBag()
     p = bag.register("layer.w", uniform_init(rng, 4, (4, 2)))
-    assert isinstance(p, Parameter)
-    assert p.tensor.grad is not None and not p.tensor.grad.any()
+    # a parameter is a leaf tensor that only adds its name
+    assert isinstance(p, Tensor) and Parameter.__slots__ == ("name",)
+    assert p.requires_grad and p._backward is None and p.name == "layer.w"
+    assert p.grad is not None and not p.grad.any()
     with pytest.raises(ValueError, match="layer.w"):
         bag.register("layer.w", np.zeros((4, 2)))
 
@@ -348,7 +350,7 @@ def test_parameter_bag_register_and_state(rng):
     bag2 = ParameterBag()
     bag2.register("layer.w", np.ones((4, 2)))
     bag2.load_state(state)
-    assert np.array_equal(bag2["layer.w"].tensor.data, p.tensor.data)
+    assert np.array_equal(bag2["layer.w"].data, p.data)
     assert "layer.w" in bag2 and bag2.names() == ["layer.w"]
     with pytest.raises(ValueError, match="shape"):
         bag2.load_state({"layer.w": np.zeros((1, 1))})

@@ -25,7 +25,7 @@ from crisp.data import generate_synthetic, make_windows
 from crisp.features import PAD, compute_features
 from crisp.model import ModelConfig
 from crisp.objectives import MetricSet
-from crisp.spatial import correlation_adjacency, normalize_adjacency
+from crisp.spatial import build_prior, correlation_adjacency, normalize_adjacency
 from crisp.training import TrainConfig
 
 
@@ -226,6 +226,16 @@ def test_crisp_strategy_rejects_early_window(trained_checkpoint, small_universe,
     strat = crisp_strategy(trained_checkpoint, prior, defensive)
     with pytest.raises(ValueError, match="no room"):
         strat.weight_fn(small_universe, 5, np.full(13, 1.0 / 13))
+
+
+def test_crisp_strategy_rejects_universe_with_other_asset_count(trained_checkpoint, book):
+    tickers = book.tickers()[:12]
+    universe = generate_synthetic(tickers, 60, seed=3)
+    prior12 = build_prior(book.sector_map, book.region_map, tickers)
+    strat = crisp_strategy(trained_checkpoint, prior12,
+                           np.array(book.defensive_mask(tickers), dtype=np.float64))
+    with pytest.raises(ValueError, match="model built for 13 assets, got 12"):
+        strat.weight_fn(universe, 30, np.full(12, 1.0 / 12))
 
 
 def test_report_csv_shapes(five_universe, five_windows):

@@ -197,6 +197,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("window", 0), ("horizon", 0), ("horizon", -1), ("train_stride", 0),
+])
+def test_window_lengths_below_one_are_usage_errors(tmp_path, capsys, key, value):
+    cfg = write(tmp_path, f"[data]\n{key} = {value}\n[synthetic]\ndays = 160\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"[data] {key} must be >= 1, got {value}" in capsys.readouterr().err
+
+
 def test_features_prints_roster(capsys):
     assert main(["features"]) == 0
     out = capsys.readouterr().out
@@ -249,6 +258,22 @@ def test_train_then_backtest_round_trip(tmp_path, capsys):
     report = json.loads((bt_out / "attention_summary_crisp.json").read_text())
     assert 0.0 <= report["defensive_share"] <= 1.0
     capsys.readouterr()
+
+
+def test_backtest_rejects_universe_with_other_asset_count(tmp_path, capsys, book):
+    cfg = write(tmp_path, SMALL_RUN)
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", cfg, "--out", str(train_out)]) == 0
+    # the packaged roster without its last ticker
+    twelve = tmp_path / "twelve.csv"
+    twelve.write_text("ticker,sector,region\n" + "".join(
+        f"{t},{book.sector_map[t]},{book.region_map[t]}\n" for t in book.tickers()[:12]))
+    cfg12 = write(tmp_path, SMALL_RUN.replace("[data]\n", f"[data]\nuniverse_file = {twelve}\n"),
+                  name="twelve.ini")
+    capsys.readouterr()
+    assert main(["backtest", "--config", cfg12, "--out", str(tmp_path / "bt"),
+                 "--checkpoint", str(train_out / "checkpoint.bin")]) == 1
+    assert "model built for 13 assets, got 12" in capsys.readouterr().err
 
 
 def test_ablate_only_random_selection(tmp_path, capsys):

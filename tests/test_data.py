@@ -248,6 +248,15 @@ def test_make_windows_counts():
         make_windows(generate_synthetic(TICKERS3, 24, seed=6), 20, 5, 5)
 
 
+@pytest.mark.parametrize("window, horizon, stride, name", [
+    (0, 5, 5, "window"), (20, 0, 5, "horizon"), (20, -1, 5, "horizon"), (20, 5, 0, "stride"),
+])
+def test_make_windows_rejects_lengths_below_one(window, horizon, stride, name):
+    u = generate_synthetic(TICKERS3, 60, seed=6)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        make_windows(u, window, horizon, stride)
+
+
 def test_make_windows_five_day_rebalance_arithmetic():
     # 710 trading days at a 5-day cadence is 142 holding periods
     assert 710 // 5 == 142

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from crisp.autodiff import ParameterBag, Tensor
+from dataclasses import asdict
+
+from crisp.autodiff import ParameterBag, Tensor, uniform_init
 from crisp.graphattn import (
     AttentionRecord,
     GatLayer,
@@ -52,11 +54,31 @@ def test_edge_scores_match_pair_loop(rng):
     z = rng.standard_normal((n, 256))
     refined, alphas = gat(*split_input(z))
     want_refined, want_alphas = manual_gat(
-        z, [p.data for p in gat.w], [p.data for p in gat.a])
+        z, np.split(gat.w.data, gat.n_heads, axis=1), list(gat.a.data))
     assert refined.shape == (1, 1, n, 128) and alphas.shape == (1, 1, 4, n, n)
     assert np.allclose(refined.data[0, 0], want_refined, atol=1e-10)
     for got, want in zip(alphas.data[0, 0], want_alphas):
         assert np.allclose(got, want, atol=1e-12)
+
+
+def test_heads_live_in_two_joined_weights():
+    bag = ParameterBag()
+    gat = GatLayer(bag, np.random.default_rng(0), n_heads=4)
+    assert bag.names() == ["gat.w", "gat.a"]
+    # drawn head by head, every W_k before every a_k, then joined
+    rng = np.random.default_rng(0)
+    ws = [uniform_init(rng, 256, (256, 32)) for _ in range(4)]
+    avs = [uniform_init(rng, 64, (64,)) for _ in range(4)]
+    assert np.array_equal(gat.w.data, np.concatenate(ws, axis=1))
+    assert np.array_equal(gat.a.data, np.stack(avs))
+    # the forward reads the joined weights without re-joining heads
+    refined, _ = gat(Tensor(np.ones((1, 1, 3, 128))), Tensor(np.ones((1, 3, 128))))
+    ops, stack = set(), [refined]
+    while stack:
+        node = stack.pop()
+        ops.add(node.op)
+        stack.extend(node._parents)
+    assert "concat" not in ops
 
 
 def test_rows_normalize_including_self_edge(rng):
@@ -178,7 +200,7 @@ def test_sparsity_report_aggregates(rng):
     want_deg = np.stack([r.effective_degree for r in records]).mean(axis=0)
     assert np.allclose(rep.effective_degree_per_node, want_deg, atol=1e-15)
     assert np.isclose(rep.mean_effective_degree, want_deg.mean(), atol=1e-15)
-    assert isinstance(rep.to_dict()["bin_fractions"], dict)
+    assert isinstance(asdict(rep)["bin_fractions"], dict)
     with pytest.raises(ValueError):
         sparsity_report([], mask)
 

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crisp.allocation import TEMPERATURE, project_constraints_tensor
+from crisp.allocation import DROPOUT_RATE, TEMPERATURE, project_constraints_tensor
 from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, softmax
+from crisp.graphattn import LEAKY_SLOPE
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
 from crisp.training import AdamState, adam_step, clip_gradients
@@ -25,7 +26,8 @@ def joined_forward(model, features, prior_adjacency, rng, training,
 
     Every asset's step embedding is built as [temporal || spatial], with the
     spatial half copied across time; the attention output and step
-    projections run one after the other; graph attention loops over heads;
+    projections run one after the other; graph attention loops over heads,
+    slicing each head's W_k and a_k out of the joined weights;
     the residual pads the refinement with zeros to the joined width; and
     each LSTM adds ``x @ wx + b`` before its per-step recurrence.
     """
@@ -37,14 +39,14 @@ def joined_forward(model, features, prior_adjacency, rng, training,
                    composed_lstm(enc.bwd, flat, reverse=True)], axis=2)
 
     def split_heads(w):
-        return (matmul(h_bi, w.tensor).reshape(rows, steps, enc.n_heads, enc.head_dim)
+        return (matmul(h_bi, w).reshape(rows, steps, enc.n_heads, enc.head_dim)
                 .transpose((0, 2, 1, 3)))
 
     q, k, v = split_heads(enc.wq), split_heads(enc.wk), split_heads(enc.wv)
     scores = matmul(q, k.swap_last_two()) * (1.0 / math.sqrt(enc.head_dim))
     mixed = matmul(softmax(scores, axis=-1), v).transpose((0, 2, 1, 3))
-    h_attn = matmul(mixed.reshape(rows, steps, 256), enc.w_out.tensor)
-    h_step = matmul(h_attn, enc.w_step.tensor).reshape(b, n, steps, 128)
+    h_attn = matmul(mixed.reshape(rows, steps, 256), enc.w_out)
+    h_step = matmul(h_attn, enc.w_step).reshape(b, n, steps, 128)
     h_spat = model.spatial(Tensor(features.mean(axis=2)), Tensor(prior_adjacency))
 
     temp_seq = h_step.transpose((0, 2, 1, 3))
@@ -53,17 +55,18 @@ def joined_forward(model, features, prior_adjacency, rng, training,
     alphas = None
     if model.config.static_graph:
         adj = Tensor(static_adjacency.reshape(b, 1, n, n))
-        refined = matmul(adj, matmul(z_init, model.w_static.tensor)).relu()
+        refined = matmul(adj, matmul(z_init, model.w_static)).relu()
     else:
         gat = model.gat
         hd = gat.head_dim
         refined_heads, alpha_heads = [], []
-        for w, a in zip(gat.w, gat.a):
-            wz = matmul(z_init, w.tensor)
-            src = (wz * a.tensor[:hd].reshape(1, 1, 1, hd)).sum(axis=-1)
-            dst = (wz * a.tensor[hd:].reshape(1, 1, 1, hd)).sum(axis=-1)
+        for k in range(gat.n_heads):
+            wz = matmul(z_init, gat.w[:, k * hd:(k + 1) * hd])
+            a = gat.a[k]
+            src = (wz * a[:hd].reshape(1, 1, 1, hd)).sum(axis=-1)
+            dst = (wz * a[hd:].reshape(1, 1, 1, hd)).sum(axis=-1)
             e = src.reshape(b, steps, n, 1) + dst.reshape(b, steps, 1, n)
-            alpha = softmax(leaky_relu(e, gat.slope), axis=-1)
+            alpha = softmax(leaky_relu(e, LEAKY_SLOPE), axis=-1)
             refined_heads.append(matmul(alpha, wz))
             alpha_heads.append(alpha.data[:, steps - 1])
         refined = concat(refined_heads, axis=3)
@@ -77,7 +80,7 @@ def joined_forward(model, features, prior_adjacency, rng, training,
     else:
         final = head.pool_proj(per_asset.mean(axis=1))
     h = head.mlp_hidden(final.reshape(b, n, head.hidden)).relu()
-    h = dropout(h, head.dropout_rate, rng, training)
+    h = dropout(h, DROPOUT_RATE, rng, training)
     raw = head.mlp_out(h).reshape(b, n)
     return project_constraints_tensor(softmax(raw, axis=-1, temperature=TEMPERATURE)), alphas
 

@@ -38,13 +38,13 @@ def composed_lstm(lstm, x, reverse=False):
     sigmoid/tanh and elementwise products, one graph node each."""
     batch, steps, _ = x.shape
     hd = lstm.hidden_dim
-    xz = matmul(x, lstm.wx.tensor) + lstm.b.tensor
+    xz = matmul(x, lstm.wx) + lstm.b
     h = Tensor(np.zeros((batch, hd)))
     c = Tensor(np.zeros((batch, hd)))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     outputs = [None] * steps
     for t in order:
-        z = xz[:, t, :] + matmul(h, lstm.wh.tensor)
+        z = xz[:, t, :] + matmul(h, lstm.wh)
         i = z[:, 0 * hd:1 * hd].sigmoid()
         f = z[:, 1 * hd:2 * hd].sigmoid()
         g = z[:, 2 * hd:3 * hd].tanh()
@@ -161,7 +161,7 @@ def test_lstm_keeps_no_caches_without_grad(rng):
     assert out._parents == () and out._backward is None and not out.requires_grad
     graphed = lstm.run(x)
     assert np.array_equal(out.data, graphed.data)
-    assert graphed.op == "lstm" and graphed._parents[3] is lstm.wh.tensor
+    assert graphed.op == "lstm" and graphed._parents[3] is lstm.wh
 
 
 def test_lstm_parameter_gradients_flow(rng):
@@ -171,5 +171,5 @@ def test_lstm_parameter_gradients_flow(rng):
     loss = (lstm.run(Tensor(rng.standard_normal((2, 4, 2)))) ** 2.0).sum()
     loss.backward()
     for name in ("cell.wx", "cell.wh", "cell.b"):
-        assert np.abs(bag[name].tensor.grad).max() > 0.0
+        assert np.abs(bag[name].grad).max() > 0.0
 

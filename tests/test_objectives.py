@@ -1,6 +1,7 @@
 """Loss terms and evaluation metrics against brute-force oracles."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ def test_loss_weights_override(rng):
         LossWeights(sharpe=-0.1)
 
 
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"cvar_alpha": 0.0}, "cvar_alpha"),
+    ({"cvar_alpha": -0.05}, "cvar_alpha"),
+    ({"cvar_alpha": 1.5}, "cvar_alpha"),
+    ({"turnover_width": 0.0}, "turnover_width"),
+    ({"turnover_width": -0.01}, "turnover_width"),
+])
+def test_loss_weights_reject_out_of_range_values(overrides, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        LossWeights(**overrides)
+    # the whole sample is the tail at alpha = 1
+    LossWeights(cvar_alpha=1.0)
+
+
 def test_zero_variance_batch_stays_finite():
     w = Tensor(np.full((2, 13), 1.0 / 13), requires_grad=True)
     rets = np.zeros((2, 13, 5))
@@ -201,7 +216,7 @@ def test_metrics_oracle_random(rng):
 
 
 def test_metrics_keys_complete():
-    d = metrics(np.array([0.01, -0.005, 0.002])).to_dict()
+    d = asdict(metrics(np.array([0.01, -0.005, 0.002])))
     assert sorted(d) == ["ann_return", "ann_vol", "avg_turnover", "calmar",
                          "max_drawdown", "sharpe", "sortino"]
     with pytest.raises(ValueError):

@@ -70,7 +70,7 @@ def test_adam_matches_scalar_oracle(rng):
     m = np.zeros(2)
     v = np.zeros(2)
     for t, g in enumerate(grads, start=1):
-        p.tensor.grad[:] = g
+        p.grad[:] = g
         adam_step([p], state, lr=0.01)
 
         m = 0.9 * m + 0.1 * g
@@ -85,7 +85,7 @@ def test_adam_matches_scalar_oracle(rng):
 def test_adam_rejects_nonfinite_gradient():
     p = Parameter("w", np.ones(3))
     state = AdamState(m={"w": np.zeros(3)}, v={"w": np.zeros(3)})
-    p.tensor.grad[:] = [1.0, np.nan, 0.0]
+    p.grad[:] = [1.0, np.nan, 0.0]
     with pytest.raises(FloatingPointError, match="w"):
         adam_step([p], state, lr=0.1)
 
@@ -93,8 +93,8 @@ def test_adam_rejects_nonfinite_gradient():
 def test_clip_gradients_oracle():
     a = Parameter("a", np.zeros(3))
     b = Parameter("b", np.zeros((2, 2)))
-    a.tensor.grad[:] = [3.0, 0.0, 0.0]
-    b.tensor.grad[:] = [[0.0, 4.0], [0.0, 0.0]]
+    a.grad[:] = [3.0, 0.0, 0.0]
+    b.grad[:] = [[0.0, 4.0], [0.0, 0.0]]
     norm, clipped = clip_gradients([a, b], max_norm=2.5)
     assert norm == pytest.approx(5.0, abs=1e-12)
     assert clipped
@@ -114,6 +114,24 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError, match="batch"):
         TrainConfig(batch_size=0)
+    # a zero learning rate (with lr_min 0) freezes the weights and is allowed
+    TrainConfig(learning_rate=0.0, lr_min=0.0)
+
+
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"learning_rate": -1e-3}, "learning_rate"),
+    ({"lr_min": -1e-6}, "lr_min"),
+    ({"learning_rate": 1e-4, "lr_min": 1e-3}, "lr_min"),
+    ({"max_epochs": 0}, "max_epochs"),
+    ({"val_fraction": -0.1}, "val_fraction"),
+    ({"val_fraction": 0.0}, "val_fraction"),
+    ({"val_fraction": 1.0}, "val_fraction"),
+    ({"clip_norm": 0.0}, "clip_norm"),
+    ({"clip_norm": -5.0}, "clip_norm"),
+])
+def test_train_config_rejects_out_of_range_values(overrides, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        TrainConfig(**overrides)
 
 
 # -- checkpoint container -----------------------------------------------------
@@ -325,7 +343,7 @@ def test_divergence_detected_and_flagged(windows, prior):
     import warnings
 
     model = CrispModel(ModelConfig(init_seed=7))
-    model.bag["temporal.attn_q"].tensor.data[:] = 1e308
+    model.bag["temporal.attn_q"].data[:] = 1e308
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = train(model, windows, prior.normalized, quick_config())
