@@ -38,7 +38,6 @@ __all__ = [
     "backward",
     "concat",
     "dropout",
-    "gather",
     "grad_enabled",
     "leaky_relu",
     "matmul",
@@ -475,22 +474,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return np.split(g, splits, axis=axis)
 
     return Tensor._from_op(out_data, tuple(tensors), "concat", bwd)
-
-
-def gather(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select elements of a flat tensor by integer indices (CVaR tail picks)."""
-    x = as_tensor(x)
-    if x.ndim != 1:
-        raise ValueError(f"gather expects a 1-D tensor, got shape {x.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    out_data = x.data[idx]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return Tensor._from_op(out_data, (x,), "gather", bwd)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:

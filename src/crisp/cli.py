@@ -196,13 +196,31 @@ def _defensive_indices(cfg, book: AssetBook) -> list[int]:
             f"comma-separated index list; got {raw!r}") from None
 
 
-def _build_universe(cfg, book: AssetBook) -> Universe:
+def _build(cls, section: str, cfg, **given):
+    """A config dataclass from its section's keys; a bad value is a usage error."""
+    try:
+        return cls(**{f.name: cfg[section][f.name] for f in fields(cls)
+                      if f.name not in given}, **given)
+    except ValueError as exc:
+        raise UsageError(f"[{section}] {exc}") from None
+
+
+def _configs(cfg, book: AssetBook):
+    """Every config dataclass a run uses, built before any data work."""
+    d = cfg["data"]
+    return (_build(RegimeConfig, "synthetic", cfg),
+            _build(ModelConfig, "model", cfg, n_assets=len(book.tickers()),
+                   window=d["window"], horizon=d["horizon"]),
+            _build(TrainConfig, "train", cfg),
+            _build(LossWeights, "loss", cfg))
+
+
+def _build_universe(cfg, book: AssetBook, regime: RegimeConfig) -> Universe:
     source = cfg["data"]["source"]
     if source == "synthetic":
         s = cfg["synthetic"]
-        regime_cfg = RegimeConfig(**{f.name: s[f.name] for f in fields(RegimeConfig)})
         return generate_synthetic(book.tickers(), s["days"], s["seed"],
-                                  regime_cfg, _defensive_indices(cfg, book))
+                                  regime, _defensive_indices(cfg, book))
     if source == "csv":
         path = cfg["data"]["csv_path"]
         if not path:
@@ -239,11 +257,6 @@ def _plan_windows(cfg, universe: Universe):
     return train, test, boundary
 
 
-def _model_config(cfg, universe: Universe) -> ModelConfig:
-    return ModelConfig(n_assets=universe.n_assets, window=cfg["data"]["window"],
-                       horizon=cfg["data"]["horizon"], **cfg["model"])
-
-
 def _prior(book: AssetBook, universe: Universe) -> PriorGraph:
     return build_prior(book.sector_map, book.region_map, universe.tickers)
 
@@ -270,7 +283,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         cfg["synthetic"]["seed"] = args.seed
     book = _load_book(cfg)
-    universe = _build_universe(cfg, book)
+    universe = _build_universe(cfg, book, _build(RegimeConfig, "synthetic", cfg))
     out = _ensure_out(args.out)
 
     rows = ["date,ticker,close,volume"]
@@ -303,14 +316,13 @@ def cmd_train(args) -> int:
         cfg["train"]["seed"] = args.seed
 
     book = _load_book(cfg)
-    universe = _build_universe(cfg, book)
+    regime, model_config, train_config, loss_weights = _configs(cfg, book)
+    universe = _build_universe(cfg, book, regime)
     train_windows, _, boundary = _plan_windows(cfg, universe)
     prior = _prior(book, universe)
 
-    model_config = _model_config(cfg, universe)
     _, result = train_on_universe(universe, book, prior, train_windows,
-                                  model_config, TrainConfig(**cfg["train"]),
-                                  LossWeights(**cfg["loss"]))
+                                  model_config, train_config, loss_weights)
 
     out = _ensure_out(args.out)
     save_checkpoint(result.checkpoint, os.path.join(out, "checkpoint.bin"))
@@ -371,7 +383,8 @@ def cmd_backtest(args) -> int:
         cfg["backtest"]["random_seed"] = args.seed
 
     book = _load_book(cfg)
-    universe = _build_universe(cfg, book)
+    regime, *_ = _configs(cfg, book)     # checks every section, used or not
+    universe = _build_universe(cfg, book, regime)
     _, test_windows, boundary = _plan_windows(cfg, universe)
     prior = _prior(book, universe)
     strategies = _build_strategies(cfg, book, universe, prior, args.checkpoint)
@@ -424,13 +437,13 @@ def cmd_ablate(args) -> int:
         only = [args.only]
 
     book = _load_book(cfg)
-    universe = _build_universe(cfg, book)
+    regime, model_config, train_config, loss_weights = _configs(cfg, book)
+    universe = _build_universe(cfg, book, regime)
     train_windows, test_windows, _ = _plan_windows(cfg, universe)
     prior = _prior(book, universe)
 
     rows = ablation_suite(universe, book, prior, train_windows, test_windows,
-                          TrainConfig(**cfg["train"]), _model_config(cfg, universe),
-                          LossWeights(**cfg["loss"]), only=only)
+                          train_config, model_config, loss_weights, only=only)
 
     out = _ensure_out(args.out)
     table = ablation_csv(rows)

@@ -42,7 +42,7 @@ __all__ = [
 EDGE_THRESHOLD_LOW = 0.1
 EDGE_THRESHOLD_HIGH = 0.3
 LEAKY_SLOPE = 0.2
-_REFINED = 128
+REFINED = 128
 
 
 class GatLayer:
@@ -50,10 +50,8 @@ class GatLayer:
 
     def __init__(self, bag: ParameterBag, rng: np.random.Generator,
                  n_heads: int = 4, in_dim: int = 256):
-        if _REFINED % n_heads != 0:
-            raise ValueError(f"{n_heads} heads do not divide refined width {_REFINED}")
         self.n_heads = n_heads
-        self.head_dim = hd = _REFINED // n_heads
+        self.head_dim = hd = REFINED // n_heads
         # drawn head by head, every W_k before every a_k: the draw order
         # fixes each seed's initial values
         ws = [uniform_init(rng, in_dim, (in_dim, hd)) for _ in range(n_heads)]
@@ -81,7 +79,7 @@ class GatLayer:
         e = src.reshape(b, steps, heads, n, 1) + dst.reshape(b, steps, heads, 1, n)
         alpha = softmax(leaky_relu(e, LEAKY_SLOPE), axis=-1)       # (B, T, heads, N, N)
         refined = matmul(alpha, wz).transpose((0, 1, 3, 2, 4))
-        return refined.reshape(b, steps, n, _REFINED), alpha
+        return refined.reshape(b, steps, n, REFINED), alpha
 
 
 @dataclass

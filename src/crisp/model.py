@@ -22,7 +22,8 @@ import numpy as np
 
 from .allocation import AllocationHead
 from .autodiff import ParameterBag, Tensor, matmul, no_grad, uniform_init
-from .graphattn import GatLayer
+from .features import feature_columns
+from .graphattn import REFINED, GatLayer
 from .nn import joined_matmul
 from .spatial import SpatialEncoder
 from .temporal import TemporalEncoder
@@ -40,6 +41,12 @@ class ModelConfig:
     use_alloc_lstm: bool = True
     static_graph: bool = False
     init_seed: int = 0
+
+    def __post_init__(self):
+        feature_columns(self.n_features)        # raises on a width the roster lacks
+        if self.gat_heads < 1 or REFINED % self.gat_heads:
+            raise ValueError(
+                f"{self.gat_heads} heads do not divide refined width {REFINED}")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gather, maximum
+from .autodiff import Tensor, maximum
 
 __all__ = [
     "EPS",
@@ -103,7 +103,7 @@ def _cvar_term(pooled: Tensor, alpha: float) -> Tensor:
     n = pooled.size
     k = math.ceil(alpha * n)
     worst = np.argsort(pooled.data, kind="stable")[:k]
-    return -gather(pooled, worst).mean()
+    return -pooled[worst].mean()
 
 
 def _per_sample_maxdd(period_returns: Tensor) -> Tensor:

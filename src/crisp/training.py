@@ -1,15 +1,13 @@
 """Mini-batch training loop with Adam, cosine annealing and early stopping.
 
 Training is bitwise-reproducible from the seed: shuffling and dropout draw
-from one seeded generator whose state is serialized into the checkpoint,
-so restoring a checkpoint resumes the exact trajectory.  Checkpoints use a
-purpose-built binary container (magic + JSON header + raw float64 buffers)
-because archive formats embed timestamps that break byte-identical
-round-trips.
+from one seeded generator.  Checkpoints use a purpose-built binary container
+(magic + JSON header + raw float64 buffers) because archive formats embed
+timestamps that break byte-identical round-trips.
 
-The validation split is the chronological tail of the training windows;
-feature normalization statistics are fitted on the pre-validation portion
-only, so nothing later in time leaks into them.
+Every run starts fresh and keeps the chronological tail of its windows for
+validation; feature normalization statistics are fitted on the part before
+the tail only, so nothing later in time leaks into them.
 """
 
 from __future__ import annotations
@@ -152,89 +150,87 @@ class Checkpoint:
              "std": self.normalizer["normalizer.std"]})
 
 
+# The checkpoint schema.  Array fields map to their section tags, in file
+# order, and each section's arrays follow in name order.  The header holds
+# the scalar fields beside the config, its hash and the array index.
+_SECTIONS = {"best_params": "best", "last_params": "last", "adam_m": "m",
+             "adam_v": "v", "normalizer": "extra"}
+_HEADER_FIELDS = ("epoch", "best_val", "bad_epochs", "adam_t", "rng_state", "diverged")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    sections = [
-        ("best", ckpt.best_params),
-        ("last", ckpt.last_params),
-        ("m", ckpt.adam_m),
-        ("v", ckpt.adam_v),
-        ("extra", ckpt.normalizer),
-    ]
-    arrays = []
-    buffers = []
-    for section, table in sections:
+    arrays, buffers = [], []
+    for attr, section in _SECTIONS.items():
+        table = getattr(ckpt, attr)
         for name in sorted(table):
             arr = np.ascontiguousarray(table[name], dtype=np.float64)
             arrays.append({"name": name, "section": section, "shape": list(arr.shape)})
             buffers.append(arr.tobytes())
-    header = {
-        "config": ckpt.model_config.__dict__,
-        "config_hash": ckpt.config_hash(),
-        "epoch": ckpt.epoch,
-        "best_val": ckpt.best_val,
-        "bad_epochs": ckpt.bad_epochs,
-        "adam_t": ckpt.adam_t,
-        "rng_state": ckpt.rng_state,
-        "diverged": ckpt.diverged,
-        "arrays": arrays,
-    }
+    header = {key: getattr(ckpt, key) for key in _HEADER_FIELDS}
+    header.update(config=ckpt.model_config.__dict__, config_hash=ckpt.config_hash(),
+                  arrays=arrays)
     raw = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-        for buf in buffers:
-            fh.write(buf)
+        fh.write(_MAGIC + struct.pack("<IQ", _VERSION, len(raw)) + raw)
+        fh.writelines(buffers)
+
+
+def _same_keys(path: str, what: str, stored, known) -> None:
+    stored, known = set(stored), set(known)
+    if stored != known:
+        unknown, missing = sorted(stored - known), sorted(known - stored)
+        raise ValueError(f"{path}: {what}" + (f"; unknown {unknown}" if unknown else "")
+                         + (f"; missing {missing}" if missing else ""))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; a departure from its layout raises ``ValueError``."""
     with open(path, "rb") as fh:
+        def read(n: int, what: str) -> bytes:
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise ValueError(f"{path}: truncated checkpoint: {what}")
+            return buf
+
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version, hlen = struct.unpack("<IQ", read(12, "version and header length"))
         if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        tables: dict[str, dict[str, np.ndarray]] = {
-            "best": {}, "last": {}, "m": {}, "v": {}, "extra": {}}
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            header = dict(json.loads(read(hlen, "header")))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object") from None
+        _same_keys(path, "header keys differ from the checkpoint schema", header,
+                   {"config", "config_hash", "arrays", *_HEADER_FIELDS})
+        tables: dict[str, dict[str, np.ndarray]] = {s: {} for s in _SECTIONS.values()}
         for meta in header["arrays"]:
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"truncated checkpoint: array {meta['name']!r}")
-            tables[meta["section"]][meta["name"]] = (
-                np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    stored, known = set(header["config"]), {f.name for f in fields(ModelConfig)}
-    if stored != known:
-        unknown, missing = sorted(stored - known), sorted(known - stored)
-        raise ValueError(
-            f"{path}: config keys differ from ModelConfig's fields"
-            + (f"; unknown {unknown}" if unknown else "")
-            + (f"; missing {missing}" if missing else ""))
-    config = ModelConfig(**header["config"])
+            name, section, shape = meta.get("name"), meta.get("section"), meta.get("shape")
+            if section not in tables or name in tables[section]:
+                raise ValueError(f"{path}: array {name!r} has an unknown or "
+                                 f"repeated section {section!r}")
+            if not (isinstance(shape, list)
+                    and all(isinstance(d, int) and d >= 0 for d in shape)):
+                raise ValueError(f"{path}: array {name!r} has a bad shape {shape!r}")
+            buf = read(8 * math.prod(shape), f"array {name!r}")
+            tables[section][name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
+    _same_keys(path, "config keys differ from ModelConfig's fields",
+               header["config"], (f.name for f in fields(ModelConfig)))
+    try:
+        config = ModelConfig(**header["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     expected = config.config_hash()
     if header["config_hash"] != expected:
         raise ValueError(
             f"{path}: stored config_hash {header['config_hash']!r} does not match "
             f"{expected!r}, the hash of its config")
-    return Checkpoint(
-        model_config=config,
-        best_params=tables["best"],
-        last_params=tables["last"],
-        adam_m=tables["m"],
-        adam_v=tables["v"],
-        adam_t=header["adam_t"],
-        epoch=header["epoch"],
-        best_val=header["best_val"],
-        bad_epochs=header["bad_epochs"],
-        rng_state=header["rng_state"],
-        normalizer=tables["extra"],
-        diverged=header.get("diverged", False),
-    )
+    return Checkpoint(model_config=config,
+                      **{key: header[key] for key in _HEADER_FIELDS},
+                      **{attr: tables[section] for attr, section in _SECTIONS.items()})
 
 
 @dataclass
@@ -248,29 +244,30 @@ class TrainResult:
     def log_csv(self) -> str:
         lines = ["epoch,train_loss,val_loss,lr"]
         for row in self.log:
-            val = "" if row["val_loss"] is None else f"{row['val_loss']:.12g}"
-            lines.append(
-                f"{row['epoch']},{row['train_loss']:.12g},{val},{row['lr']:.12g}")
+            lines.append(f"{row['epoch']},{row['train_loss']:.12g},"
+                         f"{row['val_loss']:.12g},{row['lr']:.12g}")
         return "\n".join(lines) + "\n"
-
-
-def _stack_targets(windows: list[Window]) -> np.ndarray:
-    return np.stack([w.target for w in windows])
 
 
 def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
           config: TrainConfig, loss_weights: LossWeights | None = None,
-          static_adjacencies: np.ndarray | None = None,
-          resume_from: Checkpoint | None = None) -> TrainResult:
+          static_adjacencies: np.ndarray | None = None) -> TrainResult:
     """Train on feature-carrying windows; returns the best checkpoint.
 
     Windows must be chronological and carry raw (unnormalized) full-roster
     features; the model reads the roster columns its ``n_features`` selects.
-    The last ``val_fraction`` of them become the validation tail.  Turnover
-    in the loss uses a uniform previous-weight convention: shuffled batches
-    have no meaningful period ordering.
+    The last ``val_fraction`` of them (at least one) become the validation
+    tail, and the best epoch is the one with the lowest validation loss.
+    Turnover in the loss uses a uniform previous-weight convention: shuffled
+    batches have no meaningful period ordering.
     """
     lw = loss_weights or LossWeights()
+    n_val = max(1, round(config.val_fraction * len(windows)))
+    n_train = len(windows) - n_val
+    if n_train < 1:
+        raise ValueError(
+            f"{len(windows)} windows at val_fraction={config.val_fraction} leave "
+            f"{n_train} for training before a {n_val}-window validation tail")
     if len(windows) < config.batch_size:
         raise ValueError(
             f"need at least batch_size={config.batch_size} windows, got {len(windows)}")
@@ -282,124 +279,66 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
     columns = feature_columns(model.config.n_features)
     features = [w.features if columns is None else w.features[:, :, columns]
                 for w in windows]
-
-    n_val = max(1, round(config.val_fraction * len(windows))) if len(windows) >= 2 else 0
-    n_train = len(windows) - n_val
-    train_windows = windows[:n_train]
-    val_windows = windows[n_train:]
-
-    if resume_from is None:
-        normalizer = FeatureNormalizer().fit(features[:n_train])
-        adam = AdamState.for_model(model)
-        rng = np.random.default_rng(config.seed)
-        start_epoch = 0
-        best_val = None
-        bad_epochs = 0
-        best_params = model.state()
-    else:
-        ck = resume_from
-        normalizer = ck.feature_normalizer()
-        model.load_state(ck.last_params)
-        adam = AdamState(m={k: v.copy() for k, v in ck.adam_m.items()},
-                         v={k: v.copy() for k, v in ck.adam_v.items()},
-                         t=ck.adam_t)
-        rng = np.random.default_rng(config.seed)
-        rng.bit_generator.state = ck.rng_state
-        start_epoch = ck.epoch + 1
-        best_val = ck.best_val
-        bad_epochs = ck.bad_epochs
-        best_params = {k: v.copy() for k, v in ck.best_params.items()}
-
-    train_feats = normalizer.transform(np.stack(features[:n_train]))
-    train_targets = _stack_targets(train_windows)
-    val_feats = (normalizer.transform(np.stack(features[n_train:]))
-                 if val_windows else None)
-    val_targets = _stack_targets(val_windows) if val_windows else None
-    uniform = np.full((1, model.config.n_assets), 1.0 / model.config.n_assets)
+    normalizer = FeatureNormalizer().fit(features[:n_train])
+    feats = normalizer.transform(np.stack(features))
+    targets = np.stack([w.target for w in windows])
+    static = static_adjacencies
+    prev = np.full((len(windows), model.config.n_assets), 1.0 / model.config.n_assets)
 
     params = model.parameters()
+    adam = AdamState.for_model(model)
+    rng = np.random.default_rng(config.seed)
+    last_good = best_params = model.state()
+    best_val, bad_epochs = None, 0
     result = TrainResult(checkpoint=None)
-    last_good = {k: v.copy() for k, v in model.state().items()}
 
-    def eval_loss(feats: np.ndarray, targets: np.ndarray,
-                  static: np.ndarray | None) -> float:
-        with no_grad():
-            w, _ = model.forward(feats, prior_adjacency, rng=np.random.default_rng(0),
-                                 training=False, static_adjacency=static)
-            prev = np.repeat(uniform, feats.shape[0], axis=0)
-            return float(loss_from_batch(w, prev, targets, lw).data)
-
-    static_train = (static_adjacencies[:n_train]
-                    if static_adjacencies is not None else None)
-    static_val = (static_adjacencies[n_train:]
-                  if static_adjacencies is not None else None)
-
-    epoch = start_epoch - 1
-    for epoch in range(start_epoch, config.max_epochs):
+    for epoch in range(config.max_epochs):
         lr = cosine_lr(epoch, config.max_epochs, config.learning_rate, config.lr_min)
         order = rng.permutation(n_train)
         epoch_loss = 0.0
-        diverged = False
-        for lo in range(0, n_train, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            feats = train_feats[idx]
-            targets = train_targets[idx]
-            static = static_train[idx] if static_train is not None else None
-            model.zero_grads()
-            weights, _ = model.forward(feats, prior_adjacency, rng,
-                                       training=True, static_adjacency=static)
-            prev = np.repeat(uniform, len(idx), axis=0)
-            batch_loss = loss_from_batch(weights, prev, targets, lw)
-            if not np.isfinite(batch_loss.data):
-                diverged = True
-                break
-            batch_loss.backward()
-            _, clipped = clip_gradients(params, config.clip_norm)
-            if clipped:
-                result.clip_events += 1
-            try:
+        try:
+            for lo in range(0, n_train, config.batch_size):
+                idx = order[lo:lo + config.batch_size]
+                model.zero_grads()
+                weights, _ = model.forward(
+                    feats[idx], prior_adjacency, rng, training=True,
+                    static_adjacency=None if static is None else static[idx])
+                batch_loss = loss_from_batch(weights, prev[:len(idx)], targets[idx], lw)
+                if not np.isfinite(batch_loss.data):
+                    raise FloatingPointError("non-finite training loss")
+                batch_loss.backward()
+                _, clipped = clip_gradients(params, config.clip_norm)
+                result.clip_events += clipped
                 adam_step(params, adam, lr)
-            except FloatingPointError:
-                diverged = True
-                break
-            epoch_loss += float(batch_loss.data) * len(idx)
-
-        if diverged:
+                epoch_loss += float(batch_loss.data) * len(idx)
+        except FloatingPointError:
             model.load_state(last_good)
             result.diverged = True
             break
-        last_good = {k: v.copy() for k, v in model.state().items()}
+        last_good = model.state()
 
-        train_loss = epoch_loss / n_train
-        val_loss = (eval_loss(val_feats, val_targets, static_val)
-                    if val_windows else None)
-        result.log.append({"epoch": epoch, "train_loss": train_loss,
+        with no_grad():
+            w, _ = model.forward(
+                feats[n_train:], prior_adjacency, np.random.default_rng(0), training=False,
+                static_adjacency=None if static is None else static[n_train:])
+            val_loss = float(loss_from_batch(w, prev[:n_val], targets[n_train:], lw).data)
+        result.log.append({"epoch": epoch, "train_loss": epoch_loss / n_train,
                            "val_loss": val_loss, "lr": lr})
 
-        monitored = val_loss if val_loss is not None else train_loss
-        if best_val is None or monitored < best_val:
-            best_val = monitored
-            best_params = model.state()
-            bad_epochs = 0
+        if best_val is None or val_loss < best_val:
+            best_val, best_params, bad_epochs = val_loss, last_good, 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 result.stopped_early = True
                 break
 
+    # Nothing reads last_params, the Adam moments, bad_epochs or rng_state; the
+    # schema keeps them while the benchmark builds and round-trips them.
     result.checkpoint = Checkpoint(
-        model_config=model.config,
-        best_params=best_params,
-        last_params=model.state(),
-        adam_m={k: v.copy() for k, v in adam.m.items()},
-        adam_v={k: v.copy() for k, v in adam.v.items()},
-        adam_t=adam.t,
-        epoch=epoch,
-        best_val=best_val,
-        bad_epochs=bad_epochs,
-        rng_state=rng.bit_generator.state,
-        normalizer={"normalizer.mean": normalizer.state()["mean"],
-                    "normalizer.std": normalizer.state()["std"]},
-        diverged=result.diverged,
-    )
+        model_config=model.config, best_params=best_params, last_params=model.state(),
+        adam_m=adam.m, adam_v=adam.v, adam_t=adam.t, epoch=epoch, best_val=best_val,
+        bad_epochs=bad_epochs, rng_state=rng.bit_generator.state,
+        normalizer={"normalizer.mean": normalizer.mean, "normalizer.std": normalizer.std},
+        diverged=result.diverged)
     return result

@@ -12,7 +12,6 @@ from crisp.autodiff import (
     Tensor,
     concat,
     dropout,
-    gather,
     grad_enabled,
     leaky_relu,
     matmul,
@@ -223,18 +222,13 @@ def test_concat_grads(rng):
     assert max_rel_error(build, [(2, 3), (2, 2)], rng) < TOL
 
 
-def test_gather_grads(rng):
+def test_getitem_integer_array_grads(rng):
     idx = np.array([4, 1, 1, 0])
 
     def build(xs):
-        return (gather(xs[0], idx) * Tensor(np.arange(4.0))).sum()
+        return (xs[0][idx] * Tensor(np.arange(4.0))).sum()
 
     assert max_rel_error(build, [(5,)], rng) < TOL
-
-
-def test_gather_requires_flat():
-    with pytest.raises(ValueError, match="1-D"):
-        gather(Tensor(np.ones((2, 2))), np.array([0]))
 
 
 def test_dropout_train_scales_and_eval_is_identity(rng):

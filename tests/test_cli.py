@@ -197,6 +197,22 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "clip_norm", 0, "clip_norm must be positive, got 0.0"),
+    ("model", "gat_heads", 3, "3 heads do not divide refined width 128"),
+    ("synthetic", "crisis_vol", -1, "crisis_vol must be positive, got -1.0"),
+], ids=["clip_norm", "gat_heads", "crisis_vol"])
+def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, section, key,
+                                                     value, message):
+    # the dataclasses are built before any data work, so no output appears
+    cfg = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    for command in ("train", "backtest", "ablate"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: [{section}] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("window", 0), ("horizon", 0), ("horizon", -1), ("train_stride", 0),
 ])

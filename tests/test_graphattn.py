@@ -13,6 +13,7 @@ from crisp.graphattn import (
     sparsity_report,
     telemetry_csv,
 )
+from crisp.model import ModelConfig
 
 from _gradcheck import max_rel_error
 
@@ -114,9 +115,10 @@ def test_single_asset_rejected(rng):
         gat(*split_input(np.zeros((1, 256))))
 
 
-def test_head_count_must_divide_refined_width(rng):
-    with pytest.raises(ValueError, match="heads"):
-        GatLayer(ParameterBag(), rng, n_heads=3)
+def test_head_count_must_divide_refined_width():
+    for heads in (3, 0, -4):
+        with pytest.raises(ValueError, match="heads"):
+            ModelConfig(gat_heads=heads)
 
 
 def test_gat_gradcheck(rng):

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisp.autodiff import Parameter
 from crisp.backtest import attach_features
@@ -15,6 +17,7 @@ from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
 from crisp.training import (
     AdamState,
+    Checkpoint,
     TrainConfig,
     adam_step,
     clip_gradients,
@@ -199,28 +202,73 @@ def test_checkpoint_config_hash_mismatch_rejected(trained, tmp_path):
         load_checkpoint(str(p))
 
 
-def _rewrite_config(path, edit):
-    """Apply ``edit`` to the header's config dict, keeping the arrays as they are."""
-    data = path.read_bytes()
+def _edit_header(data, edit):
+    """Checkpoint bytes with ``edit`` applied to the header dict, arrays kept."""
     (hlen,) = struct.unpack("<Q", data[12:20])
     header = json.loads(data[20:20 + hlen])
-    edit(header["config"])
+    edit(header)
     raw = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(data[:12] + struct.pack("<Q", len(raw)) + raw + data[20 + hlen:])
+    return data[:12] + struct.pack("<Q", len(raw)) + raw + data[20 + hlen:]
 
 
 @pytest.mark.parametrize("edit,match", [
     # every checkpoint written while the pooled route existed carries this key
-    (lambda c: c.update(per_step_graph=True), r"unknown \['per_step_graph'\]"),
-    (lambda c: c.pop("gat_heads"), r"missing \['gat_heads'\]"),
+    (lambda h: h["config"].update(per_step_graph=True), r"unknown \['per_step_graph'\]"),
+    (lambda h: h["config"].pop("gat_heads"), r"missing \['gat_heads'\]"),
 ], ids=["unknown_key", "missing_key"])
 def test_checkpoint_config_keys_must_match_model_config(trained, tmp_path, edit, match):
     _, result = trained
     p = tmp_path / "k.bin"
     save_checkpoint(result.checkpoint, str(p))
-    _rewrite_config(p, edit)
+    p.write_bytes(_edit_header(p.read_bytes(), edit))
     with pytest.raises(ValueError, match=match):
         load_checkpoint(str(p))
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    """A valid checkpoint file's bytes, with a few small arrays per section."""
+    def table():
+        return {"a": np.arange(3.0), "b": np.ones((2, 2)), "c": np.array(7.0)}
+
+    ck = Checkpoint(model_config=ModelConfig(), best_params=table(), last_params=table(),
+                    adam_m=table(), adam_v=table(), adam_t=4, epoch=3, best_val=-0.25,
+                    bad_epochs=1, rng_state=np.random.default_rng(0).bit_generator.state,
+                    normalizer={"normalizer.mean": np.zeros(31),
+                                "normalizer.std": np.ones(31)})
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.bin"
+    save_checkpoint(ck, str(path))
+    return path.read_bytes()
+
+
+def _rejected(tmp_path_factory, blob, match=None):
+    path = tmp_path_factory.mktemp("bad") / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=match) as info:
+        load_checkpoint(str(path))
+    assert str(path) in str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_checkpoint_cut_anywhere_is_rejected(tmp_path_factory, tiny_blob, data):
+    cut = data.draw(st.integers(0, len(tiny_blob) - 1), label="cut")
+    _rejected(tmp_path_factory, tiny_blob[:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(suffix=st.binary(min_size=1, max_size=64))
+def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path_factory, tiny_blob, suffix):
+    _rejected(tmp_path_factory, tiny_blob + suffix, "trailing bytes")
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["arrays"][0].update(section="bogus"), "section 'bogus'"),
+    (lambda h: h.pop("epoch"), r"missing \['epoch'\]"),
+    (lambda h: h["arrays"][0].update(shape=[-3]), r"bad shape \[-3\]"),
+], ids=["unknown_section", "missing_epoch", "negative_shape"])
+def test_checkpoint_header_edits_are_rejected(tmp_path_factory, tiny_blob, edit, match):
+    _rejected(tmp_path_factory, _edit_header(tiny_blob, edit), match)
 
 
 def test_checkpoint_feature_normalizer(trained, windows):
@@ -266,31 +314,6 @@ def test_training_is_deterministic(windows, prior):
     assert log_a == log_b
     for key in state_a:
         assert np.array_equal(state_a[key], state_b[key]), key
-
-
-def test_resume_matches_uninterrupted(windows, prior, tmp_path):
-    # flat learning rate so the schedule is independent of max_epochs
-    straight = CrispModel(ModelConfig(init_seed=2))
-    r_straight = train(straight, windows, prior.normalized,
-                       quick_config(max_epochs=4))
-
-    part = CrispModel(ModelConfig(init_seed=2))
-    r_part = train(part, windows, prior.normalized, quick_config(max_epochs=2))
-    path = tmp_path / "mid.bin"
-    save_checkpoint(r_part.checkpoint, str(path))
-
-    resumed = CrispModel(ModelConfig(init_seed=2))
-    ck = load_checkpoint(str(path))
-    r_resumed = train(resumed, windows, prior.normalized,
-                      quick_config(max_epochs=4), resume_from=ck)
-
-    a = straight.state()
-    b = resumed.state()
-    for key in a:
-        assert np.array_equal(a[key], b[key]), key
-    full_log = r_part.log + r_resumed.log
-    assert [row["epoch"] for row in full_log] == [0, 1, 2, 3]
-    assert full_log == r_straight.log
 
 
 def test_validation_tail_excluded_from_normalizer(windows, prior):
@@ -366,6 +389,24 @@ def test_train_input_validation(windows, prior):
     static_model = CrispModel(ModelConfig(static_graph=True))
     with pytest.raises(ValueError, match="adjacenc"):
         train(static_model, windows, prior.normalized, quick_config())
+
+
+@pytest.mark.parametrize("n_windows, overrides", [
+    (1, {"batch_size": 1}),
+    (3, {"batch_size": 1, "val_fraction": 0.9}),
+], ids=["one_window", "tail_takes_all"])
+def test_train_needs_a_training_part_and_a_validation_tail(windows, prior, n_windows,
+                                                           overrides):
+    model = CrispModel(ModelConfig())
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("train ran a forward pass before rejecting its windows")
+
+    model.forward = no_forward
+    with pytest.raises(ValueError, match=f"^{n_windows} windows at val_fraction="
+                                         f".* leave 0 for training before a "
+                                         f"{n_windows}-window validation tail"):
+        train(model, windows[:n_windows], prior.normalized, quick_config(**overrides))
 
 
 def test_log_csv_format(trained):
