@@ -9,8 +9,14 @@ sharpened by a temperature-0.8 softmax and projected onto the feasible set
 
 The projection alternates clipping with renormalization of the free
 coordinates (those not pinned at a bound in the needed direction) until
-the maximum violation drops below 1e-9.  Unlike a single clip+renormalize
-pass, the iteration cannot emit out-of-bound weights.
+the maximum violation drops below 1e-9; it cannot emit out-of-bound
+weights, and a NaN input raises.  ``project_constraints`` is its one copy:
+the model runs it per row as one autodiff node, ``project``, whose backward
+is the closed-form Jacobian on the free support (arXiv:1602.02068).  A row
+the first clip made feasible passes g where lo <= x_j <= hi.  In a
+renormalised row the free outputs F = {lo < w_j < hi} are S * clip(x)_j:
+
+    dL/dx_j = [lo <= x_j <= hi] [j in F] (S g_j - sum_F w_i g_i / sum_F clip(x))
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class PortfolioWeights:
 
     def validate(self) -> None:
         w = self.weights
-        if abs(w.sum() - 1.0) > _TOL:
+        if not abs(w.sum() - 1.0) <= _TOL:        # a NaN sum fails this too
             raise ValueError(f"weights sum to {w.sum():.12f}, not 1")
         if (w < WEIGHT_FLOOR - _TOL).any() or (w > WEIGHT_CAP + _TOL).any():
             raise ValueError(
@@ -81,14 +87,14 @@ def project_constraints(w: np.ndarray) -> np.ndarray:
 
     Clips into the box, then rescales the coordinates free to move in the
     needed direction so the total returns to 1; repeats until the largest
-    violation is below 1e-9.  Raises if the budget is infeasible.
+    violation is below 1e-9.  Raises if the budget is infeasible or w has a NaN.
     """
     w = np.asarray(w, dtype=np.float64).copy()
     check_feasible_universe(w.size)
-    for _ in range(_MAX_ITER):
+    for _ in range(_MAX_ITER):              # a finite w needs at most N + 1 passes
         w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CAP)
         s = w.sum()
-        if abs(s - 1.0) <= _TOL:
+        if abs(s - 1.0) <= _TOL:              # never true of a NaN sum
             return w
         if s > 1.0:
             free = w > WEIGHT_FLOOR
@@ -96,40 +102,26 @@ def project_constraints(w: np.ndarray) -> np.ndarray:
             free = w < WEIGHT_CAP
         fixed_sum = w[~free].sum()
         w[free] *= (1.0 - fixed_sum) / w[free].sum()
-    w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CAP)
-    if abs(w.sum() - 1.0) > _TOL:
-        raise RuntimeError(f"projection failed to converge: sum {w.sum():.12f}")
-    return w
+    raise FloatingPointError(f"projection failed to converge: sum {s:.12f}")
 
 
 def project_constraints_tensor(w: Tensor) -> Tensor:
-    """Differentiable batched projection of (B, N) rows onto the bounded simplex.
+    """(B, N) rows through ``project_constraints`` as one ``project`` node."""
+    x = w.data
+    out = np.stack([project_constraints(row) for row in x])
 
-    The free/fixed partition per iteration is treated as constant (the
-    projection is piecewise smooth); gradients flow through the clip
-    pass-through and the renormalization arithmetic.
-    """
-    check_feasible_universe(w.shape[-1])
-    for _ in range(_MAX_ITER):
-        w = w.clip(WEIGHT_FLOOR, WEIGHT_CAP)
-        sums = w.data.sum(axis=-1, keepdims=True)
-        if np.abs(sums - 1.0).max() <= _TOL:
-            return w
-        over = sums > 1.0
-        free = np.where(over, w.data > WEIGHT_FLOOR, w.data < WEIGHT_CAP)
-        free &= np.abs(sums - 1.0) > _TOL         # converged rows stay untouched
-        free_t = Tensor(free.astype(np.float64))
-        fixed_t = Tensor(1.0 - free_t.data)
-        fixed_sum = (w * fixed_t).sum(axis=-1, keepdims=True)
-        free_sum = (w * free_t).sum(axis=-1, keepdims=True)
-        # guard only fully-fixed rows; their free part is zero anyway
-        safe_free_sum = free_sum + Tensor((free_sum.data == 0.0).astype(np.float64))
-        scale = (1.0 - fixed_sum) / safe_free_sum
-        w = w * fixed_t + w * free_t * scale
-    w = w.clip(WEIGHT_FLOOR, WEIGHT_CAP)
-    if np.abs(w.data.sum(axis=-1) - 1.0).max() > _TOL:
-        raise RuntimeError("batched projection failed to converge")
-    return w
+    def bwd(g):
+        inside = (x >= WEIGHT_FLOOR) & (x <= WEIGHT_CAP)
+        b = np.clip(x, WEIGHT_FLOOR, WEIGHT_CAP)
+        free = (out > WEIGHT_FLOOR) & (out < WEIGHT_CAP)
+        free_b = (b * free).sum(axis=-1, keepdims=True)
+        free_b[free_b == 0.0] = 1.0         # a fully pinned row has no gradient
+        scale = (out * free).sum(axis=-1, keepdims=True) / free_b
+        mix = (out * free * g).sum(axis=-1, keepdims=True) / free_b
+        clip_only = (out == b).all(axis=-1, keepdims=True)
+        return (inside * np.where(clip_only, g, free * (scale * g - mix)),)
+
+    return Tensor._from_op(out, (w,), "project", bwd)
 
 
 def score_to_weights(scores: np.ndarray, as_of_date: str = "",
@@ -138,10 +130,7 @@ def score_to_weights(scores: np.ndarray, as_of_date: str = "",
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    z = scores / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    w = project_constraints(e / e.sum())
+    w = project_constraints(softmax(Tensor(scores), temperature=temperature).data)
     return PortfolioWeights(weights=w, as_of_date=as_of_date)
 
 

@@ -115,11 +115,15 @@ def run_backtest(strategy: Strategy, universe: Universe,
     infeasible = 0
 
     for w in test_windows:
-        pw = strategy.weight_fn(universe, w.end, prev.copy())
-        if not pw.is_feasible():
+        try:
+            pw = strategy.weight_fn(universe, w.end, prev.copy())
+            problem = None if pw.is_feasible() else "infeasible weights"
+        except FloatingPointError as exc:      # e.g. NaN scores met the projection
+            problem = f"infeasible weights ({exc})"
+        if problem is not None:
             infeasible += 1
             strategy.fallback_events.append(
-                f"{w.end_date}: infeasible weights replaced by equal weight")
+                f"{w.end_date}: {problem} replaced by equal weight")
             pw = PortfolioWeights(np.full(n, 1.0 / n), as_of_date=w.end_date)
         if not pw.as_of_date:
             pw.as_of_date = w.end_date

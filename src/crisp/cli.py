@@ -10,9 +10,9 @@ features   dump the 31-feature roster as CSV
 
 Configuration is a flat INI file with sections; every key has a default, so
 all commands run with no config at all.  Unknown sections or keys are
-rejected, and the fully resolved configuration is echoed into the output
-directory so any run can be reproduced from its own artifacts.  Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+rejected, and the resolved configuration (backtest: only the sections it
+reads) is echoed so any run can be reproduced from its own artifacts.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         **_fields(RegimeConfig),
         "defensive_indices": ("str", "auto"),    # auto | "" | comma list
     },
-    # window and horizon come from [data], n_assets from the universe
-    "model": _fields(ModelConfig, skip=("n_assets", "window", "horizon")),
+    # window comes from [data], n_assets from the universe
+    "model": _fields(ModelConfig, skip=("n_assets", "window")),
     "train": _fields(TrainConfig),
     "loss": _fields(LossWeights),
     "backtest": {
@@ -158,12 +158,13 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def echo_config(cfg: dict[str, dict[str, object]], out_dir: str) -> str:
-    """Write the resolved configuration; rerunning from it reproduces the run."""
+def echo_config(cfg: dict[str, dict[str, object]], out_dir: str,
+                sections=tuple(_SCHEMA)) -> str:
+    """Write the resolved ``sections``; rerunning from them reproduces the run."""
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section in sections:
         lines.append(f"[{section}]")
-        for key in keys:
+        for key in _SCHEMA[section]:
             lines.append(f"{key} = {_format_value(cfg[section][key])}")
         lines.append("")
     path = os.path.join(out_dir, "resolved_config.ini")
@@ -207,10 +208,9 @@ def _build(cls, section: str, cfg, **given):
 
 def _configs(cfg, book: AssetBook):
     """Every config dataclass a run uses, built before any data work."""
-    d = cfg["data"]
     return (_build(RegimeConfig, "synthetic", cfg),
             _build(ModelConfig, "model", cfg, n_assets=len(book.tickers()),
-                   window=d["window"], horizon=d["horizon"]),
+                   window=cfg["data"]["window"]),
             _build(TrainConfig, "train", cfg),
             _build(LossWeights, "loss", cfg))
 
@@ -420,7 +420,8 @@ def cmd_backtest(args) -> int:
 
     _write(os.path.join(out, "metrics.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    echo_config(cfg, out)
+    # the CRISP row runs the checkpoint's own model, so only what backtest reads
+    echo_config(cfg, out, ("data", "synthetic", "backtest"))
     print(f"wrote {out}/metrics.json")
     return 0
 

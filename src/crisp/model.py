@@ -36,7 +36,6 @@ class ModelConfig:
     n_assets: int = 13
     n_features: int = 31
     window: int = 20
-    horizon: int = 5
     gat_heads: int = 4
     use_alloc_lstm: bool = True
     static_graph: bool = False

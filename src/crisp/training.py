@@ -214,7 +214,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                     and all(isinstance(d, int) and d >= 0 for d in shape)):
                 raise ValueError(f"{path}: array {name!r} has a bad shape {shape!r}")
             buf = read(8 * math.prod(shape), f"array {name!r}")
-            tables[section][name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: array {name!r} holds non-finite values")
+            tables[section][name] = arr
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     _same_keys(path, "config keys differ from ModelConfig's fields",

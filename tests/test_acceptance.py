@@ -22,6 +22,7 @@ from crisp.allocation import (
     TEMPERATURE,
     PortfolioWeights,
     project_constraints,
+    project_constraints_tensor,
     score_to_weights,
 )
 from crisp.autodiff import (
@@ -137,6 +138,9 @@ _OP_CASES = [
     ("softmax", [(3, 5)],
      lambda t: _weighted_sum(softmax(t[0], axis=-1, temperature=TEMPERATURE))),
     ("softmax_axis0", [(3, 5)], lambda t: _weighted_sum(softmax(t[0], axis=0))),
+    # both rows of the softmax fall below the floor and above the cap
+    ("project", [(2, 6)], lambda t: _weighted_sum(
+        project_constraints_tensor(softmax(t[0], axis=-1, temperature=0.4)))),
     ("concat", [(2, 3), (2, 3)], lambda t: _weighted_sum(concat([t[0], t[1]], axis=1))),
     ("getitem_int_array", [(8,)], lambda t: _weighted_sum(t[0][_INDEX])),
     ("dropout_train", [(3, 4)],

@@ -16,9 +16,49 @@ from crisp.allocation import (
     project_constraints_tensor,
     score_to_weights,
 )
-from crisp.autodiff import ParameterBag, Tensor
+from crisp.autodiff import ParameterBag, Tensor, no_grad, softmax
 
 from _gradcheck import max_rel_error
+
+
+def composed_projection(w):
+    """The projection composed from autodiff ops, about 11 nodes per pass.
+
+    The reference for the ``project`` node's forward and backward.  The
+    free/fixed partition of each pass is a constant, so gradients flow
+    through the clip pass-through and the renormalization arithmetic.
+    """
+    check_feasible_universe(w.shape[-1])
+    for _ in range(100):
+        w = w.clip(WEIGHT_FLOOR, WEIGHT_CAP)
+        sums = w.data.sum(axis=-1, keepdims=True)
+        if np.abs(sums - 1.0).max() <= 1e-9:
+            return w
+        over = sums > 1.0
+        free = np.where(over, w.data > WEIGHT_FLOOR, w.data < WEIGHT_CAP)
+        free &= np.abs(sums - 1.0) > 1e-9          # converged rows stay untouched
+        free_t = Tensor(free.astype(np.float64))
+        fixed_t = Tensor(1.0 - free_t.data)
+        fixed_sum = (w * fixed_t).sum(axis=-1, keepdims=True)
+        free_sum = (w * free_t).sum(axis=-1, keepdims=True)
+        # guard only fully-fixed rows; their free part is zero anyway
+        safe_free_sum = free_sum + Tensor((free_sum.data == 0.0).astype(np.float64))
+        scale = (1.0 - fixed_sum) / safe_free_sum
+        w = w * fixed_t + w * free_t * scale
+    raise AssertionError("composed projection did not converge")
+
+
+def graph_nodes(out):
+    """Op nodes reachable from ``out``."""
+    seen, stack, count = {id(out)}, [out], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
 
 
 def feasible(w, tol=1e-9):
@@ -94,7 +134,87 @@ def test_tensor_projection_matches_numpy(rng):
     batch = np.stack(rows)
     out = project_constraints_tensor(Tensor(batch)).data
     for i, row in enumerate(rows):
-        assert np.allclose(out[i], project_constraints(row), atol=1e-9)
+        assert np.array_equal(out[i], project_constraints(row))
+
+
+def bound_row(kind, gen, n=13):
+    """A row summing to 1 whose clip hits the floor, the cap, both or neither."""
+    row = gen.uniform(0.05, 0.09, n)
+    pinned = np.zeros(n, dtype=bool)
+    if kind in ("floor", "both"):
+        row[:3], pinned[:3] = gen.uniform(0.0, 0.015, 3), True
+    if kind in ("cap", "both"):
+        row[-2:], pinned[-2:] = gen.uniform(0.26, 0.3, 2), True
+    row[~pinned] *= (1.0 - row[pinned].sum()) / row[~pinned].sum()
+    assert ((row < WEIGHT_FLOOR).any() == (kind in ("floor", "both"))
+            and (row > WEIGHT_CAP).any() == (kind in ("cap", "both")))
+    return row
+
+
+_KINDS = ("floor", "cap", "both", "neither")
+
+
+def check_against_composed(rows, gen):
+    x = Tensor(rows, requires_grad=True)
+    probe = Tensor(gen.standard_normal(rows.shape))
+    out = project_constraints_tensor(x)
+    (out * probe).sum().backward()
+    ref_x = Tensor(rows, requires_grad=True)
+    ref = composed_projection(ref_x)
+    (ref * probe).sum().backward()
+    assert np.abs(out.data - ref.data).max() <= 1e-15
+    assert np.abs(x.grad - ref_x.grad).max() <= 1e-12
+    return out
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_projection_node_matches_composed_single_row(kind):
+    gen = np.random.default_rng(_KINDS.index(kind))
+    rows = bound_row(kind, gen)[None, :]
+    out = check_against_composed(rows, gen)
+    # a row the clip leaves feasible is passed through untouched
+    assert np.array_equal(out.data, rows) == (kind == "neither")
+
+
+def test_projection_node_matches_composed_batch():
+    gen = np.random.default_rng(16)
+    for _ in range(20):
+        rows = np.stack([bound_row(_KINDS[i % 4], gen) for i in range(16)])
+        check_against_composed(rows, gen)
+
+
+def test_projection_node_gradient_sweep():
+    # softmax rows over random batch sizes and score scales, most renormalised
+    gen = np.random.default_rng(0)
+    for _ in range(200):
+        b = int(gen.integers(1, 20))
+        scores = gen.uniform(0.3, 6.0) * gen.standard_normal((b, 13))
+        check_against_composed(softmax(Tensor(scores)).data, gen)
+
+
+def test_projection_is_one_node_whatever_its_passes():
+    # the first row's renormalisation lifts its second asset over the cap,
+    # so it takes two renormalising passes
+    rows = np.stack([np.array([0.5, 0.24, 0.19] + [0.007] * 10),
+                     np.array([1.0] + [0.0] * 12)])
+    x = Tensor(rows, requires_grad=True)
+    out = project_constraints_tensor(x)
+    assert out.op == "project" and out._parents == (x,)
+    assert graph_nodes(out) == 1
+    assert graph_nodes(composed_projection(Tensor(rows, requires_grad=True))) > 2 * 11
+    check_against_composed(rows, np.random.default_rng(4))
+    with no_grad():
+        quiet = project_constraints_tensor(Tensor(rows, requires_grad=True))
+    assert quiet._parents == () and quiet._backward is None
+    assert np.array_equal(quiet.data, out.data)
+
+
+def test_projection_rejects_nan():
+    for bad in (np.full(13, np.nan), np.array([np.nan] + [1.0 / 12] * 12)):
+        with pytest.raises(FloatingPointError, match="converge"):
+            project_constraints(bad)
+    with pytest.raises(FloatingPointError, match="converge"):
+        project_constraints_tensor(Tensor(np.full((2, 13), np.nan), requires_grad=True))
 
 
 def test_tensor_projection_gradcheck(rng):
@@ -140,6 +260,10 @@ def test_portfolio_weights_validation():
     bad = PortfolioWeights(np.concatenate([[0.3], np.full(12, 0.7 / 12)]))
     with pytest.raises(ValueError, match="outside"):
         bad.validate()
+    nan = PortfolioWeights(np.full(13, np.nan))
+    assert not nan.is_feasible()
+    with pytest.raises(ValueError, match="sum"):
+        nan.validate()
 
 
 def head_inputs(rng, b, steps, n=13):

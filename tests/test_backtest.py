@@ -94,6 +94,22 @@ def test_infeasible_weights_fall_back_to_equal(five_universe, five_windows):
     assert report.turnovers == pytest.approx([0.0, 0.0], abs=0)
 
 
+def test_nan_weights_fall_back_to_equal(five_universe, five_windows):
+    # NaN weights returned as they are, and NaN projected: neither may
+    # reach the metrics
+    unprojected = constant_strategy([np.nan] * 5)
+    projected = Strategy("Projected NaN", lambda universe, end, prev: PortfolioWeights(
+        project_constraints(np.full(5, np.nan))))
+    for strat in (unprojected, projected):
+        report = run_backtest(strat, five_universe, five_windows[-2:])
+        assert report.infeasible_periods == 2
+        assert len(strat.fallback_events) == 2
+        for pw in report.weights:
+            assert np.array_equal(pw.weights, np.full(5, 0.2))
+        assert np.isfinite(report.daily_returns).all()
+    assert "projection failed to converge" in projected.fallback_events[0]
+
+
 def test_equal_weight_is_exactly_one_thirteenth(small_universe):
     windows = make_windows(small_universe, 20, 5, 5)
     report = run_backtest(equal_weight(), small_universe, windows[-4:])

@@ -276,6 +276,25 @@ def test_train_then_backtest_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_backtest_echoes_only_the_sections_it_reads(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_RUN)
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", cfg, "--out", str(train_out)]) == 0
+    ck = str(train_out / "checkpoint.bin")
+    # the CRISP row runs the checkpoint's 4-head learned-graph model, not this
+    other = write(tmp_path, SMALL_RUN + "\n[model]\ngat_heads = 1\nstatic_graph = true\n",
+                  name="other.ini")
+    first, again = tmp_path / "bt", tmp_path / "again"
+    assert main(["backtest", "--config", other, "--out", str(first), "--checkpoint", ck]) == 0
+    echoed = first / "resolved_config.ini"
+    assert [line for line in echoed.read_text().splitlines() if line.startswith("[")] == [
+        "[data]", "[synthetic]", "[backtest]"]
+    assert main(["backtest", "--config", str(echoed), "--out", str(again),
+                 "--checkpoint", ck]) == 0
+    assert (again / "metrics.json").read_bytes() == (first / "metrics.json").read_bytes()
+    capsys.readouterr()
+
+
 def test_backtest_rejects_universe_with_other_asset_count(tmp_path, capsys, book):
     cfg = write(tmp_path, SMALL_RUN)
     train_out = tmp_path / "train"

@@ -126,7 +126,7 @@ def test_training_step_peak_memory(prior):
     gen = np.random.default_rng(0)
     b, n = 16, model.config.n_assets
     x = gen.standard_normal((b, n, model.config.window, model.config.n_features))
-    targets = 0.02 * gen.standard_normal((b, n, model.config.horizon))
+    targets = 0.02 * gen.standard_normal((b, n, 5))
     prev = np.full((b, n), 1.0 / n)
     params = model.parameters()
     tracemalloc.start()

@@ -215,7 +215,9 @@ def _edit_header(data, edit):
     # every checkpoint written while the pooled route existed carries this key
     (lambda h: h["config"].update(per_step_graph=True), r"unknown \['per_step_graph'\]"),
     (lambda h: h["config"].pop("gat_heads"), r"missing \['gat_heads'\]"),
-], ids=["unknown_key", "missing_key"])
+    # every checkpoint written while ModelConfig had its unread horizon
+    (lambda h: h["config"].update(horizon=5), r"unknown \['horizon'\]"),
+], ids=["unknown_key", "missing_key", "horizon_key"])
 def test_checkpoint_config_keys_must_match_model_config(trained, tmp_path, edit, match):
     _, result = trained
     p = tmp_path / "k.bin"
@@ -269,6 +271,14 @@ def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path_factory, tiny_blob,
 ], ids=["unknown_section", "missing_epoch", "negative_shape"])
 def test_checkpoint_header_edits_are_rejected(tmp_path_factory, tiny_blob, edit, match):
     _rejected(tmp_path_factory, _edit_header(tiny_blob, edit), match)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_non_finite_array_is_rejected(tmp_path_factory, tiny_blob, bad):
+    # the first array holding 7.0 is best_params' "c"
+    seven, patched = np.float64(7.0).tobytes(), np.float64(bad).tobytes()
+    blob = tiny_blob.replace(seven, patched, 1)
+    _rejected(tmp_path_factory, blob, r"array 'c' holds non-finite values")
 
 
 def test_checkpoint_feature_normalizer(trained, windows):
