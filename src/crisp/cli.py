@@ -10,8 +10,9 @@ features   dump the 31-feature roster as CSV
 
 Configuration is a flat INI file with sections; every key has a default, so
 all commands run with no config at all.  Unknown sections or keys are
-rejected, and the resolved configuration (backtest: only the sections it
-reads) is echoed so any run can be reproduced from its own artifacts.
+rejected, and the resolved configuration (train, ablate and backtest: only
+the sections they read) is echoed so any run can be reproduced from its own
+artifacts.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -91,8 +92,26 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-_STRATEGY_NAMES = ("crisp", "equal_weight", "mean_variance", "risk_parity",
-                  "random_selection")
+# The sections each command reads, and so echoes to resolved_config.ini;
+# every section is validated either way.  backtest's CRISP row runs the
+# checkpoint's own model, and ablate's Random Selection row is seeded by
+# [train] seed.
+_READS = {
+    "synth": tuple(_SCHEMA),
+    "train": ("data", "synthetic", "model", "train", "loss"),
+    "ablate": ("data", "synthetic", "model", "train", "loss"),
+    "backtest": ("data", "synthetic", "backtest"),
+}
+
+# Baseline strategy name -> builder over the [backtest] section, in the order
+# the names are listed; "crisp" needs the checkpoint and is built beside it.
+_BASELINES = {
+    "equal_weight": lambda b: equal_weight(),
+    "mean_variance": lambda b: mean_variance(risk_aversion=b["mv_risk_aversion"],
+                                             lookback=b["mv_lookback"]),
+    "risk_parity": lambda b: risk_parity(lookback=b["rp_lookback"]),
+    "random_selection": lambda b: random_selection(seed=b["random_seed"]),
+}
 
 _CONVENTIONS = {
     "returns": "simple daily returns, no dividends",
@@ -298,7 +317,7 @@ def cmd_synth(args) -> int:
         labels.append(f"{date},{'crisis' if reg else 'calm'}")
     _write(os.path.join(out, "regimes.csv"), "\n".join(labels) + "\n")
 
-    echo_config(cfg, out)
+    echo_config(cfg, out, _READS["synth"])
     crisis_days = int(universe.regimes.sum())
     print(f"wrote {len(universe.dates)} days x {universe.n_assets} tickers to "
           f"{out}/universe.csv ({crisis_days} crisis days)")
@@ -327,7 +346,7 @@ def cmd_train(args) -> int:
     out = _ensure_out(args.out)
     save_checkpoint(result.checkpoint, os.path.join(out, "checkpoint.bin"))
     _write(os.path.join(out, "training_log.csv"), result.log_csv())
-    echo_config(cfg, out)
+    echo_config(cfg, out, _READS["train"])
 
     epochs = len(result.log)
     print(f"trained on {len(train_windows)} windows (boundary day {boundary}); "
@@ -343,10 +362,11 @@ def cmd_train(args) -> int:
 def _build_strategies(cfg, book, universe, prior, checkpoint_path):
     names = [s.strip() for s in str(cfg["backtest"]["strategies"]).split(",")
              if s.strip()]
-    unknown = [n for n in names if n not in _STRATEGY_NAMES]
+    known = ("crisp", *_BASELINES)
+    unknown = [n for n in names if n not in known]
     if unknown:
         raise UsageError(f"unknown strategies {unknown} "
-                         f"(known: {', '.join(_STRATEGY_NAMES)})")
+                         f"(known: {', '.join(known)})")
 
     ck = None
     if checkpoint_path is not None:
@@ -354,24 +374,15 @@ def _build_strategies(cfg, book, universe, prior, checkpoint_path):
             raise UsageError(f"checkpoint not found: {checkpoint_path}")
         ck = load_checkpoint(checkpoint_path)
 
-    b = cfg["backtest"]
     strategies = []
     for name in names:
-        if name == "crisp":
-            if ck is None:
-                print("no checkpoint given; running baselines only")
-                continue
+        if name != "crisp":
+            strategies.append(_BASELINES[name](cfg["backtest"]))
+        elif ck is None:
+            print("no checkpoint given; running baselines only")
+        else:
             mask = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
             strategies.append(crisp_strategy(ck, prior, mask))
-        elif name == "equal_weight":
-            strategies.append(equal_weight())
-        elif name == "mean_variance":
-            strategies.append(mean_variance(risk_aversion=b["mv_risk_aversion"],
-                                            lookback=b["mv_lookback"]))
-        elif name == "risk_parity":
-            strategies.append(risk_parity(lookback=b["rp_lookback"]))
-        elif name == "random_selection":
-            strategies.append(random_selection(seed=b["random_seed"]))
     if not strategies:
         raise UsageError("no strategies left to run")
     return strategies
@@ -420,8 +431,7 @@ def cmd_backtest(args) -> int:
 
     _write(os.path.join(out, "metrics.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    # the CRISP row runs the checkpoint's own model, so only what backtest reads
-    echo_config(cfg, out, ("data", "synthetic", "backtest"))
+    echo_config(cfg, out, _READS["backtest"])
     print(f"wrote {out}/metrics.json")
     return 0
 
@@ -449,7 +459,7 @@ def cmd_ablate(args) -> int:
     out = _ensure_out(args.out)
     table = ablation_csv(rows)
     _write(os.path.join(out, "ablation.csv"), table)
-    echo_config(cfg, out)
+    echo_config(cfg, out, _READS["ablate"])
     for name, ms in rows:
         print(f"{name}: sharpe {ms.sharpe:.3f}, max dd {ms.max_drawdown:.3%}")
     print(f"wrote {out}/ablation.csv")

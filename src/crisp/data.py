@@ -194,15 +194,6 @@ class RegimeConfig:
             if not 0.0 <= c < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {c}")
 
-    def transition_matrix(self) -> np.ndarray:
-        m = np.array([
-            [1.0 - self.p_calm_to_crisis, self.p_calm_to_crisis],
-            [self.p_crisis_to_calm, 1.0 - self.p_crisis_to_calm],
-        ])
-        if not np.allclose(m.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("transition matrix rows must sum to 1")
-        return m
-
 
 def generate_synthetic(tickers: list[str], days: int, seed: int,
                        config: RegimeConfig | None = None,
@@ -228,13 +219,13 @@ def generate_synthetic(tickers: list[str], days: int, seed: int,
         defensive[i] = True
 
     rng = np.random.default_rng(seed)
-    trans = cfg.transition_matrix()
+    leave = (cfg.p_calm_to_crisis, cfg.p_crisis_to_calm)   # by current state
 
     regimes = np.empty(days, dtype=np.int64)
     state = 0   # start calm
     for t in range(days):
         regimes[t] = state
-        state = 1 - state if rng.random() < trans[state, 1 - state] else state
+        state = 1 - state if rng.random() < leave[state] else state
 
     mean = np.where(regimes == 0, cfg.calm_mean, cfg.crisis_mean)          # (D,)
     vol = np.where(regimes == 0, cfg.calm_vol, cfg.crisis_vol)             # (D,)

@@ -17,10 +17,12 @@ temporal @ W_top + spatial @ W_bottom with the second term broadcast over
 time; the joined input is never built.  No hard threshold is applied
 anywhere; sparsity is an emergent, reported property.
 
-Telemetry bins the head-mean off-diagonal weights as low < 0.1,
-mid 0.1..0.3 (inclusive), high > 0.3; per-head bins are also emitted but
-the head-mean is the primary view.  A node's effective degree counts
-neighbors with mean weight >= 0.1.
+An ``AttentionRecord`` keeps one rebalance's alphas and nothing derived
+from them.  ``sparsity_report`` is the one place attention statistics are
+computed, over a run's records stacked to (R, heads, N, N): it bins the
+head-mean off-diagonal weights as low < 0.1, mid 0.1..0.3 (inclusive),
+high > 0.3, bins each head the same way alongside, and counts a node's
+effective degree as its neighbors with head-mean weight >= 0.1.
 """
 
 from __future__ import annotations
@@ -84,53 +86,26 @@ class GatLayer:
 
 @dataclass
 class AttentionRecord:
-    """Per-window attention snapshot with off-diagonal binning."""
+    """One rebalance's attention weights, the evidence every statistic reads."""
 
     window_end_date: str
-    per_head: np.ndarray          # (heads, N, N)
-    mean: np.ndarray              # (N, N)
-    bins: dict[str, int]          # low/mid/high counts over off-diagonal edges
-    per_head_bins: list[dict[str, int]]
-    effective_degree: np.ndarray  # (N,) neighbors with mean alpha >= 0.1
+    per_head: np.ndarray          # (heads, N, N), each row sums to 1
 
     @classmethod
     def from_alphas(cls, window_end_date: str, per_head: np.ndarray) -> "AttentionRecord":
         per_head = np.asarray(per_head, dtype=np.float64)
         if per_head.ndim != 3 or per_head.shape[1] != per_head.shape[2]:
             raise ValueError(f"expected (heads, N, N) alphas, got {per_head.shape}")
-        mean = per_head.mean(axis=0)
-        off = ~np.eye(mean.shape[0], dtype=bool)
-        return cls(
-            window_end_date=window_end_date,
-            per_head=per_head,
-            mean=mean,
-            bins=_bin_counts(mean[off]),
-            per_head_bins=[_bin_counts(h[off]) for h in per_head],
-            effective_degree=((mean >= EDGE_THRESHOLD_LOW) & off).sum(axis=1),
-        )
-
-    @property
-    def n_assets(self) -> int:
-        return self.mean.shape[0]
-
-    def off_diagonal_count(self) -> int:
-        n = self.n_assets
-        return n * (n - 1)
+        return cls(window_end_date, per_head)
 
     def cluster_share(self, mask: np.ndarray) -> float:
         """Share of off-diagonal mean attention mass on within-cluster edges."""
         mask = np.asarray(mask, dtype=bool)
-        off = ~np.eye(self.n_assets, dtype=bool)
+        mean = self.per_head.mean(axis=0)
+        off = ~np.eye(mean.shape[0], dtype=bool)
         within = np.outer(mask, mask) & off
-        total = self.mean[off].sum()
-        return float(self.mean[within].sum() / total) if total > 0 else 0.0
-
-
-def _bin_counts(values: np.ndarray) -> dict[str, int]:
-    low = int((values < EDGE_THRESHOLD_LOW).sum())
-    high = int((values > EDGE_THRESHOLD_HIGH).sum())
-    mid = int(values.size - low - high)
-    return {"low": low, "mid": mid, "high": high}
+        total = mean[off].sum()
+        return float(mean[within].sum() / total) if total > 0 else 0.0
 
 
 @dataclass
@@ -149,27 +124,34 @@ class SparsityReport:
 
 def sparsity_report(records: list[AttentionRecord],
                     defensive_mask: np.ndarray) -> SparsityReport:
-    """Aggregate bin fractions, degrees and the defensive-cluster share."""
+    """Every attention statistic of a run, from its records' stacked alphas.
+
+    Bin fractions are the mean over records of each record's count / edges;
+    a node's effective degree is its neighbor count at head-mean weight
+    >= 0.1, averaged over records.
+    """
     if not records:
         raise ValueError("sparsity report needs at least one attention record")
-    n = records[0].n_assets
-    edges = records[0].off_diagonal_count()
-    n_heads = records[0].per_head.shape[0]
+    alphas = np.stack([r.per_head for r in records])       # (R, heads, N, N)
+    n_heads, n = alphas.shape[1], alphas.shape[2]
+    off = ~np.eye(n, dtype=bool)
+    edges = n * (n - 1)
+    mean = alphas.mean(axis=1)                              # (R, N, N)
 
-    frac = {key: float(np.mean([r.bins[key] / edges for r in records]))
-            for key in ("low", "mid", "high")}
-    head_frac = [
-        {key: float(np.mean([r.per_head_bins[k][key] / edges for r in records]))
-         for key in ("low", "mid", "high")}
-        for k in range(n_heads)
-    ]
-    degrees = np.stack([r.effective_degree for r in records]).mean(axis=0)
+    def fractions(weights: np.ndarray) -> dict[str, float]:
+        w = weights[:, off]                                 # (R, edges)
+        low = (w < EDGE_THRESHOLD_LOW).sum(axis=1)
+        high = (w > EDGE_THRESHOLD_HIGH).sum(axis=1)
+        counts = {"low": low, "mid": edges - low - high, "high": high}
+        return {key: float(np.mean(c / edges)) for key, c in counts.items()}
+
+    degrees = ((mean >= EDGE_THRESHOLD_LOW) & off).sum(axis=2).mean(axis=0)
     share = float(np.mean([r.cluster_share(defensive_mask) for r in records]))
     return SparsityReport(
         n_records=len(records),
         n_assets=n,
-        bin_fractions=frac,
-        per_head_bin_fractions=head_frac,
+        bin_fractions=fractions(mean),
+        per_head_bin_fractions=[fractions(alphas[:, k]) for k in range(n_heads)],
         mean_effective_degree=float(degrees.mean()),
         effective_degree_per_node=[float(d) for d in degrees],
         defensive_share=share,

@@ -52,7 +52,7 @@ from crisp.backtest import (
 )
 from crisp.data import RegimeConfig, Window, generate_synthetic, make_windows
 from crisp.features import cvar
-from crisp.graphattn import AttentionRecord
+from crisp.graphattn import AttentionRecord, sparsity_report
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import l_div, l_turn, loss_from_batch, metrics
 from crisp.spatial import build_prior
@@ -349,13 +349,16 @@ def test_05_edge_accounting():
         logits = gen.standard_normal((4, 13, 13))
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         rec = AttentionRecord.from_alphas(f"d{i:05d}", e / e.sum(axis=-1, keepdims=True))
-        assert rec.off_diagonal_count() == 156
-        assert sum(rec.bins.values()) == 156
-        for head_bins in rec.per_head_bins:
-            assert sum(head_bins.values()) == 156
+        rep = sparsity_report([rec], np.zeros(13, dtype=bool))
+        assert len(rep.per_head_bin_fractions) == 4
+        for fractions in [rep.bin_fractions, *rep.per_head_bin_fractions]:
+            counts = [round(f * 156) for f in fractions.values()]
+            assert [c / 156 for c in counts] == list(fractions.values())
+            assert sum(counts) == 156
 
     uniform = AttentionRecord.from_alphas("d0", np.full((4, 13, 13), 1.0 / 13))
-    assert uniform.bins == {"low": 156, "mid": 0, "high": 0}
+    assert sparsity_report([uniform], np.zeros(13, dtype=bool)).bin_fractions == {
+        "low": 1.0, "mid": 0.0, "high": 0.0}
     _line(5, "edge accounting", True,
           "156 edges at N=13; bins partition 156 over 50 records; "
           "uniform attention lands entirely in the low bin")

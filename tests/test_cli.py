@@ -277,18 +277,29 @@ def test_train_then_backtest_round_trip(tmp_path, capsys):
 
 
 def test_backtest_echoes_only_the_sections_it_reads(tmp_path, capsys):
-    cfg = write(tmp_path, SMALL_RUN)
-    train_out = tmp_path / "train"
-    assert main(["train", "--config", cfg, "--out", str(train_out)]) == 0
-    ck = str(train_out / "checkpoint.bin")
+    def sections(echoed):
+        return [line for line in echoed.read_text().splitlines() if line.startswith("[")]
+
+    # train and ablate never read [backtest]: ablate's Random Selection row is
+    # seeded by [train] seed, so a [backtest] random_seed would do nothing
+    seeded = write(tmp_path, SMALL_RUN + "\n[backtest]\nrandom_seed = 5\n", name="seeded.ini")
+    for command, extra, artifact in (("train", [], "checkpoint.bin"),
+                                     ("ablate", ["--only", "Random Selection"], "ablation.csv")):
+        first, again = tmp_path / command, tmp_path / f"{command}_again"
+        assert main([command, "--config", seeded, "--out", str(first), *extra]) == 0
+        echoed = first / "resolved_config.ini"
+        assert sections(echoed) == ["[data]", "[synthetic]", "[model]", "[train]", "[loss]"]
+        assert main([command, "--config", str(echoed), "--out", str(again), *extra]) == 0
+        assert (again / artifact).read_bytes() == (first / artifact).read_bytes()
+
+    ck = str(tmp_path / "train" / "checkpoint.bin")
     # the CRISP row runs the checkpoint's 4-head learned-graph model, not this
     other = write(tmp_path, SMALL_RUN + "\n[model]\ngat_heads = 1\nstatic_graph = true\n",
                   name="other.ini")
     first, again = tmp_path / "bt", tmp_path / "again"
     assert main(["backtest", "--config", other, "--out", str(first), "--checkpoint", ck]) == 0
     echoed = first / "resolved_config.ini"
-    assert [line for line in echoed.read_text().splitlines() if line.startswith("[")] == [
-        "[data]", "[synthetic]", "[backtest]"]
+    assert sections(echoed) == ["[data]", "[synthetic]", "[backtest]"]
     assert main(["backtest", "--config", str(echoed), "--out", str(again),
                  "--checkpoint", ck]) == 0
     assert (again / "metrics.json").read_bytes() == (first / "metrics.json").read_bytes()

@@ -176,9 +176,6 @@ def test_market_returns_equal_weight_mean(rng):
 
 
 def test_regime_config_validates_rows():
-    cfg = RegimeConfig()
-    trans = cfg.transition_matrix()
-    assert np.abs(trans.sum(axis=1) - 1.0).max() < 1e-12
     with pytest.raises(ValueError):
         RegimeConfig(p_calm_to_crisis=1.5)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import asdict
 
@@ -39,6 +41,48 @@ def manual_gat(z, ws, avs, slope=0.2):
         refined.append(alpha @ wz)
         alphas.append(alpha)
     return np.concatenate(refined, axis=1), alphas
+
+
+def bin_counts(values):
+    low = int((values < 0.1).sum())
+    high = int((values > 0.3).sum())
+    return {"low": low, "mid": int(values.size - low - high), "high": high}
+
+
+def per_record_report(records, mask):
+    """``sparsity_report`` as a per-record loop: each record's head-mean,
+    bin counts and effective degrees, then the mean over records of
+    count / edges.  The reference for the stacked aggregation; the
+    ``binning`` note is left out."""
+    heads, n, _ = records[0].per_head.shape
+    edges = n * (n - 1)
+    off = ~np.eye(n, dtype=bool)
+    bins, head_bins, degrees = [], [], []
+    for rec in records:
+        mean = rec.per_head.mean(axis=0)
+        bins.append(bin_counts(mean[off]))
+        head_bins.append([bin_counts(h[off]) for h in rec.per_head])
+        degrees.append(((mean >= 0.1) & off).sum(axis=1))
+    keys = ("low", "mid", "high")
+    degree = np.stack(degrees).mean(axis=0)
+    return {
+        "n_records": len(records),
+        "n_assets": n,
+        "bin_fractions": {k: float(np.mean([b[k] / edges for b in bins])) for k in keys},
+        "per_head_bin_fractions": [
+            {k: float(np.mean([hb[h][k] / edges for hb in head_bins])) for k in keys}
+            for h in range(heads)],
+        "mean_effective_degree": float(degree.mean()),
+        "effective_degree_per_node": [float(d) for d in degree],
+        "defensive_share": float(np.mean([r.cluster_share(mask) for r in records])),
+    }
+
+
+def report_fields(records, mask):
+    """``sparsity_report`` as a dict without its ``binning`` note."""
+    fields = asdict(sparsity_report(records, mask))
+    del fields["binning"]
+    return fields
 
 
 def split_input(z):
@@ -141,13 +185,12 @@ def test_attention_record_binning():
     np.fill_diagonal(alpha, 0.25)
     per_head = np.stack([alpha, alpha])
     rec = AttentionRecord.from_alphas("2024-01-05", per_head)
-    assert rec.off_diagonal_count() == n * (n - 1)
+    rep = sparsity_report([rec], np.zeros(n, dtype=bool))
     # 12 off-diagonal: one high (0.5), one mid (0.2), rest low
-    assert rec.bins == {"low": 10, "mid": 1, "high": 1}
-    assert rec.bins == rec.per_head_bins[0] == rec.per_head_bins[1]
-    assert sum(rec.bins.values()) == 12
+    assert rep.bin_fractions == {"low": 10 / 12, "mid": 1 / 12, "high": 1 / 12}
+    assert rep.per_head_bin_fractions == [rep.bin_fractions] * 2
     # mean >= 0.1 off-diagonal: edges (0,1) and (1,2)
-    assert rec.effective_degree.tolist() == [1, 1, 0, 0]
+    assert rep.effective_degree_per_node == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_attention_record_shape_validation():
@@ -162,18 +205,21 @@ def test_156_candidate_edges_at_13_assets(rng):
     gat = GatLayer(bag, rng)
     _, alphas = gat(*split_input(rng.standard_normal((13, 256))))
     rec = AttentionRecord.from_alphas("d", alphas.data[0, 0])
-    assert rec.off_diagonal_count() == 156
-    assert sum(rec.bins.values()) == 156
-    for head_bins in rec.per_head_bins:
-        assert sum(head_bins.values()) == 156
+    rep = sparsity_report([rec], np.zeros(13, dtype=bool))
+    assert len(rep.per_head_bin_fractions) == 4
+    for fractions in [rep.bin_fractions, *rep.per_head_bin_fractions]:
+        counts = [round(f * 156) for f in fractions.values()]
+        assert [c / 156 for c in counts] == list(fractions.values())
+        assert sum(counts) == 156
 
 
 def test_uniform_attention_is_all_low():
     n = 13
     uniform = np.full((n, n), 1.0 / n)      # 1/13 < 0.1
     rec = AttentionRecord.from_alphas("d", uniform[None, :, :])
-    assert rec.bins == {"low": 156, "mid": 0, "high": 0}
-    assert rec.effective_degree.tolist() == [0] * n
+    rep = sparsity_report([rec], np.zeros(n, dtype=bool))
+    assert rep.bin_fractions == {"low": 1.0, "mid": 0.0, "high": 0.0}
+    assert rep.effective_degree_per_node == [0.0] * n
 
 
 def test_cluster_share_oracle():
@@ -199,12 +245,25 @@ def test_sparsity_report_aggregates(rng):
     assert np.isclose(sum(rep.bin_fractions.values()), 1.0, atol=1e-12)
     want_share = np.mean([r.cluster_share(mask) for r in records])
     assert np.isclose(rep.defensive_share, want_share, atol=1e-15)
-    want_deg = np.stack([r.effective_degree for r in records]).mean(axis=0)
-    assert np.allclose(rep.effective_degree_per_node, want_deg, atol=1e-15)
-    assert np.isclose(rep.mean_effective_degree, want_deg.mean(), atol=1e-15)
+    assert report_fields(records, mask) == per_record_report(records, mask)
     assert isinstance(asdict(rep)["bin_fractions"], dict)
     with pytest.raises(ValueError):
         sparsity_report([], mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 9), heads=st.integers(1, 4), n_records=st.integers(1, 6),
+       tenths=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sparsity_report_matches_per_record_loop(n, heads, n_records, tenths, seed):
+    gen = np.random.default_rng(seed)
+    shape = (n_records, heads, n)
+    if tenths:   # rows of tenths put weights exactly on 0.1 and 0.3
+        alphas = gen.multinomial(10, np.ones(n) / n, size=shape) / 10
+    else:
+        alphas = gen.dirichlet(np.ones(n), size=shape)
+    records = [AttentionRecord.from_alphas(f"d{r}", alphas[r]) for r in range(n_records)]
+    mask = gen.random(n) < 0.5
+    assert report_fields(records, mask) == per_record_report(records, mask)
 
 
 def test_telemetry_csv_row_count(rng):
