@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 Every learnable layer in the pipeline is built from the operations in this
 module.  A ``Tensor`` wraps a numpy array plus an optional gradient buffer
@@ -11,8 +11,16 @@ a model's :class:`ParameterBag` keeps them in one flat namespace.
 
 Design notes:
 
-* float64 everywhere.  At desk scale (13 assets, 20-day windows) precision
-  is cheaper than speed and keeps finite-difference checks noise-free.
+* float64 by default, with one precision policy.  Parameters, their
+  gradients, optimizer state and every loss stay float64, which keeps
+  finite-difference checks noise-free.  Inside a :func:`precision` block a
+  layer may compute in float32: it passes its inputs and each weight it
+  reads through :func:`cast` once per forward and casts its output back to
+  float64 (float64 master weights, as in Micikevicius et al., *Mixed
+  Precision Training*, arXiv:1710.03740).  ``cast`` to the dtype a tensor
+  already has returns it unchanged, so the default policy adds no node.
+  Ops take their dtype from their operands; a float32 op must combine with
+  Python scalars only, since a 0-d float64 array upcasts it under NEP 50.
 * Only leaves keep ``.grad``: parameters and user tensors created with
   ``requires_grad=True``.  Each interior gradient is freed as soon as its
   node's backward has run, so an interior tensor's ``.grad`` stays ``None``.
@@ -36,6 +44,7 @@ __all__ = [
     "ParameterBag",
     "as_tensor",
     "backward",
+    "cast",
     "concat",
     "dropout",
     "grad_enabled",
@@ -43,10 +52,13 @@ __all__ = [
     "matmul",
     "maximum",
     "no_grad",
+    "precision",
     "softmax",
 ]
 
 _GRAD_ENABLED = True
+_DTYPE = np.dtype(np.float64)
+_FLOAT32 = np.dtype(np.float32)
 
 
 @contextlib.contextmanager
@@ -63,6 +75,22 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+@contextlib.contextmanager
+def precision(dtype):
+    """Set the dtype that :func:`cast` converts to inside the block.
+
+    float64 outside any block.  Only layers that cast their operands
+    compute at this dtype; everything else stays float64.
+    """
+    global _DTYPE
+    prev = _DTYPE
+    _DTYPE = np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _DTYPE = prev
 
 
 def _is_basic_key(key) -> bool:
@@ -84,12 +112,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 array node in a reverse-mode autodiff graph."""
+    """A dense array node in a reverse-mode autodiff graph.
+
+    Data is float32 when given native float32 and float64 otherwise
+    (Python numbers, integer and boolean arrays included).
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if getattr(data, "dtype", None) is _FLOAT32:
+            self.data = np.asarray(data)
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -120,6 +155,10 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def ndim(self) -> int:
@@ -372,6 +411,24 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def cast(x: Tensor, dtype=None) -> Tensor:
+    """``x`` at ``dtype`` (the :func:`precision` policy's by default).
+
+    Returns ``x`` itself when it already has that dtype; otherwise one node
+    tagged ``cast`` whose backward returns the gradient at ``x``'s dtype.
+    """
+    x = as_tensor(x)
+    dtype = _DTYPE if dtype is None else dtype
+    src = x.dtype
+    if src == dtype:
+        return x
+
+    def bwd(g):
+        return (g.astype(src),)
+
+    return Tensor._from_op(x.data.astype(dtype), (x,), "cast", bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

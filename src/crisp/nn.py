@@ -2,14 +2,17 @@
 
 Layers here hold no state beyond their parameters, which live in a shared
 ``ParameterBag`` owned by the model, so checkpointing and optimizer loops
-see one flat namespace.
+see one flat namespace.  The LSTM runs at its input's dtype (float32 inside
+the temporal encoder under a float32 ``autodiff.precision`` policy, float64
+elsewhere); its float64 weights are cast to it once per run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParameterBag, Tensor, _unbroadcast, grad_enabled, matmul, uniform_init
+from .autodiff import (ParameterBag, Tensor, _unbroadcast, cast, grad_enabled, matmul,
+                       uniform_init)
 
 __all__ = ["Linear", "LSTM", "joined_matmul"]
 
@@ -65,9 +68,11 @@ class LSTM:
         """Full sequence: x (B, T, in) -> hidden states (B, T, H).
 
         With ``reverse=True`` the sequence is consumed right to left and the
-        output is re-aligned so row t still describes timestep t.
+        output is re-aligned so row t still describes timestep t.  The
+        weights are cast to ``x``'s dtype, which the recurrence runs at.
         """
-        return _recurrence(x, self.wx, self.b, self.wh, reverse)
+        return _recurrence(x, cast(self.wx, x.dtype), cast(self.b, x.dtype),
+                           cast(self.wh, x.dtype), reverse)
 
     def run_joined(self, temp: Tensor, spat: Tensor) -> Tensor:
         """Forward run over [temp_t || spat]: temp (B, T, d_t), spat (B, d_s) -> (B, T, H).
@@ -89,10 +94,12 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
 
     ``bias`` is any shape that broadcasts against (B, T, 4H): the (4H,)
     gate bias, or a per-sequence (B, 1, 4H) one that carries a
-    time-constant input's projection.  Each step does the arithmetic of the
-    per-step op composition in the same order (``z = xz_t + h @ wh``, then
-    ``c = f*c + i*g``, ``h = o*tanh(c)``), so the output is bitwise equal to
-    it; ``composed_lstm`` in the tests is that reference.
+    time-constant input's projection.  All four operands share one dtype,
+    and every buffer, forward and backward, is allocated in it.  Each step
+    does the arithmetic of the per-step op composition in the same order
+    (``z = xz_t + h @ wh``, then ``c = f*c + i*g``, ``h = o*tanh(c)``), so
+    the output is bitwise equal to it; ``composed_lstm`` in the tests is
+    that reference.
     """
     batch, steps, in_dim = x.shape
     width = wx.shape[1]
@@ -103,10 +110,11 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
     x2 = x.data.reshape(-1, in_dim)
     gates = (x2 @ wx.data).reshape(batch, steps, width)
     gates += bias.data
-    cells = np.empty((batch, steps, hd)) if keep else None
-    out = np.empty((batch, steps, hd))
-    h = np.zeros((batch, hd))
-    c = np.zeros((batch, hd))
+    dt = gates.dtype
+    cells = np.empty((batch, steps, hd), dt) if keep else None
+    out = np.empty((batch, steps, hd), dt)
+    h = np.zeros((batch, hd), dt)
+    c = np.zeros((batch, hd), dt)
     for t in order:
         z = gates[:, t]
         z += h @ wh.data
@@ -124,8 +132,8 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
 
     def bwd(grad):
         dz = np.empty_like(gates)
-        dh = np.zeros((batch, hd))
-        dc = np.zeros((batch, hd))
+        dh = np.zeros((batch, hd), dt)
+        dc = np.zeros((batch, hd), dt)
         back = order[::-1]
         for n, t in enumerate(back):
             i, f, g, o = (gates[:, t, k * hd:(k + 1) * hd] for k in range(4))

@@ -9,6 +9,14 @@ projections, so they run as one 256->128 map whose matrix is their product.
 
 Assets are independent here: the batch and asset axes are flattened
 together, so permuting assets permutes outputs identically.
+
+The encoder computes at the ``autodiff.precision`` policy's dtype: each
+forward casts its input to it, every layer casts each weight it reads once
+to its input's dtype (the BiLSTM's ``wx``, ``wh`` and ``b``, the Q/K/V
+matrices and the folded projection), and ``h_step`` is cast back to
+float64 at the exit.  The parameters, their gradients and everything
+downstream stay float64.  Under the default float64 policy every cast is
+the identity and adds no graph node.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 
 import numpy as np
 
-from .autodiff import ParameterBag, Tensor, concat, matmul, softmax, uniform_init
+from .autodiff import ParameterBag, Tensor, cast, concat, matmul, softmax, uniform_init
 from .nn import LSTM
 
 __all__ = ["TemporalEncoder"]
@@ -61,16 +69,19 @@ class TemporalEncoder:
 
         The mixed heads go through the output and step projections folded
         into one (256, 128) matrix, so the result is the per-step embedding.
+        The 1/sqrt(head_dim) score scale is the softmax temperature, so no
+        float64 constant enters the product.
         """
         rows, steps, _ = h.shape
-        q = self._split_heads(matmul(h, self.wq), rows, steps)
-        k = self._split_heads(matmul(h, self.wk), rows, steps)
-        v = self._split_heads(matmul(h, self.wv), rows, steps)
-        scores = matmul(q, k.swap_last_two()) * (1.0 / math.sqrt(self.head_dim))
-        weights = softmax(scores, axis=-1)                    # (rows, heads, T, T)
+        q = self._split_heads(matmul(h, cast(self.wq, h.dtype)), rows, steps)
+        k = self._split_heads(matmul(h, cast(self.wk, h.dtype)), rows, steps)
+        v = self._split_heads(matmul(h, cast(self.wv, h.dtype)), rows, steps)
+        scores = matmul(q, k.swap_last_two())
+        weights = softmax(scores, axis=-1,                    # (rows, heads, T, T)
+                          temperature=math.sqrt(self.head_dim))
         mixed = matmul(weights, v)
         mixed = mixed.transpose((0, 2, 1, 3)).reshape(rows, steps, _MODEL)
-        out = matmul(mixed, matmul(self.w_out, self.w_step))
+        out = matmul(mixed, cast(matmul(self.w_out, self.w_step), h.dtype))
         if return_weights:
             return out, weights
         return out
@@ -82,9 +93,8 @@ class TemporalEncoder:
         (B*N, heads, T, T) come back as a second value.
         """
         b, n, steps, feats = x.shape
-        flat = x.reshape(b * n, steps, feats)
+        flat = cast(x).reshape(b * n, steps, feats)
         h_bi = self.bilstm(flat)
-        if return_weights:
-            h_attn, weights = self.self_attention(h_bi, return_weights=True)
-            return h_attn.reshape(b, n, steps, 128), weights
-        return self.self_attention(h_bi).reshape(b, n, steps, 128)
+        h_attn, weights = self.self_attention(h_bi, return_weights=True)
+        h_step = cast(h_attn.reshape(b, n, steps, 128), np.float64)
+        return (h_step, weights) if return_weights else h_step

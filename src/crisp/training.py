@@ -8,6 +8,11 @@ timestamps that break byte-identical round-trips.
 Every run starts fresh and keeps the chronological tail of its windows for
 validation; feature normalization statistics are fitted on the part before
 the tail only, so nothing later in time leaks into them.
+
+Each batch's forward, loss and backward run under a float32
+``autodiff.precision`` policy, so the temporal encoder computes in float32.
+Parameters, gradients, Adam moments, clipping, the loss, validation and
+checkpoints stay float64 (float64 master weights).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import no_grad, precision
 from .data import Window
 from .features import FeatureNormalizer, feature_columns
 from .model import CrispModel, ModelConfig
@@ -245,10 +250,11 @@ class TrainResult:
     clip_events: int = 0
 
     def log_csv(self) -> str:
-        lines = ["epoch,train_loss,val_loss,lr"]
+        lines = ["epoch,train_loss,val_loss,lr,clips,grad_norm"]
         for row in self.log:
             lines.append(f"{row['epoch']},{row['train_loss']:.12g},"
-                         f"{row['val_loss']:.12g},{row['lr']:.12g}")
+                         f"{row['val_loss']:.12g},{row['lr']:.12g},"
+                         f"{row['clips']},{row['grad_norm']:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -262,7 +268,8 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
     The last ``val_fraction`` of them (at least one) become the validation
     tail, and the best epoch is the one with the lowest validation loss.
     Turnover in the loss uses a uniform previous-weight convention: shuffled
-    batches have no meaningful period ordering.
+    batches have no meaningful period ordering.  Each log row carries the
+    epoch's clipped-batch count and its largest pre-clip gradient norm.
     """
     lw = loss_weights or LossWeights()
     n_val = max(1, round(config.val_fraction * len(windows)))
@@ -298,20 +305,23 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
     for epoch in range(config.max_epochs):
         lr = cosine_lr(epoch, config.max_epochs, config.learning_rate, config.lr_min)
         order = rng.permutation(n_train)
-        epoch_loss = 0.0
+        epoch_loss, clips, max_norm = 0.0, 0, 0.0
         try:
             for lo in range(0, n_train, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
                 model.zero_grads()
-                weights, _ = model.forward(
-                    feats[idx], prior_adjacency, rng, training=True,
-                    static_adjacency=None if static is None else static[idx])
-                batch_loss = loss_from_batch(weights, prev[:len(idx)], targets[idx], lw)
-                if not np.isfinite(batch_loss.data):
-                    raise FloatingPointError("non-finite training loss")
-                batch_loss.backward()
-                _, clipped = clip_gradients(params, config.clip_norm)
+                with precision(np.float32):
+                    weights, _ = model.forward(
+                        feats[idx], prior_adjacency, rng, training=True,
+                        static_adjacency=None if static is None else static[idx])
+                    batch_loss = loss_from_batch(weights, prev[:len(idx)], targets[idx], lw)
+                    if not np.isfinite(batch_loss.data):
+                        raise FloatingPointError("non-finite training loss")
+                    batch_loss.backward()
+                norm, clipped = clip_gradients(params, config.clip_norm)
+                clips += clipped
                 result.clip_events += clipped
+                max_norm = max(max_norm, norm)
                 adam_step(params, adam, lr)
                 epoch_loss += float(batch_loss.data) * len(idx)
         except FloatingPointError:
@@ -326,7 +336,8 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
                 static_adjacency=None if static is None else static[n_train:])
             val_loss = float(loss_from_batch(w, prev[:n_val], targets[n_train:], lw).data)
         result.log.append({"epoch": epoch, "train_loss": epoch_loss / n_train,
-                           "val_loss": val_loss, "lr": lr})
+                           "val_loss": val_loss, "lr": lr, "clips": clips,
+                           "grad_norm": max_norm})
 
         if best_val is None or val_loss < best_val:
             best_val, best_params, bad_epochs = val_loss, last_good, 0

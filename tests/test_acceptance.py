@@ -480,6 +480,7 @@ def test_08_causality_audit(twin_runs, small_universe, book, prior, small_window
 
 # -- 9. synthetic end-to-end --------------------------------------------------
 
+@pytest.mark.slow
 def test_09_synthetic_end_to_end(book):
     t_all = time.perf_counter()
     rc = RegimeConfig(p_calm_to_crisis=0.04, p_crisis_to_calm=0.08,

@@ -255,8 +255,10 @@ def test_train_then_backtest_round_trip(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(train_out)]) == 0
     assert (train_out / "checkpoint.bin").is_file()
     log = (train_out / "training_log.csv").read_text().strip().split("\n")
-    assert log[0].startswith("epoch,")
+    assert log[0] == "epoch,train_loss,val_loss,lr,clips,grad_norm"
     assert len(log) == 2        # one epoch
+    clips, grad_norm = log[1].split(",")[4:]
+    assert int(clips) >= 0 and float(grad_norm) > 0.0
 
     bt_out = tmp_path / "bt"
     assert main(["backtest", "--config", cfg, "--out", str(bt_out),

@@ -1,4 +1,5 @@
-"""The model's forward against the joined-embedding composition, and its memory."""
+"""The model's forward against the joined-embedding composition, its float32
+precision policy, and its memory."""
 
 import math
 import tracemalloc
@@ -6,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crisp import backtest
 from crisp.allocation import DROPOUT_RATE, TEMPERATURE, project_constraints_tensor
-from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, softmax
+from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, precision, softmax
 from crisp.graphattn import LEAKY_SLOPE
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
@@ -118,7 +120,7 @@ def test_forward_matches_joined_composition(prior, variant):
         assert rel <= 1e-10, (name, rel)
 
 
-def test_training_step_peak_memory(prior):
+def _step_peak_bytes(prior, dtype) -> int:
     # one B=16 step of the default model as train() takes it; tracemalloc's
     # peak depends only on the array shapes, so it is the same every run
     model = CrispModel(ModelConfig())
@@ -132,11 +134,98 @@ def test_training_step_peak_memory(prior):
     tracemalloc.start()
     try:
         model.zero_grads()
-        weights, _ = model.forward(x, prior.normalized, gen, training=True)
-        loss_from_batch(weights, prev, targets).backward()
+        with precision(dtype):
+            weights, _ = model.forward(x, prior.normalized, gen, training=True)
+            loss_from_batch(weights, prev, targets).backward()
         clip_gradients(params, 5.0)
         adam_step(params, adam, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_training_step_peak_memory(prior):
+    peak = _step_peak_bytes(prior, np.float64)
     assert peak < 250e6, f"train step peak {peak / 1e6:.1f} MB"
+
+
+def test_float32_training_step_peak_memory(prior):
+    peak = _step_peak_bytes(prior, np.float32)
+    assert peak < 165e6, f"float32 train step peak {peak / 1e6:.1f} MB"
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """Every tensor the graph under ``root`` reaches, constants included."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _b16_step(model, prior, dtype):
+    """A B=16 training step's loss under the ``dtype`` policy, backward run."""
+    gen = np.random.default_rng(7)
+    b, n = 16, model.config.n_assets
+    x = gen.standard_normal((b, n, model.config.window, model.config.n_features))
+    static = None
+    if model.config.static_graph:
+        adj = np.abs(gen.standard_normal((b, n, n)))
+        static = adj / adj.sum(axis=-1, keepdims=True)
+    targets = 0.02 * gen.standard_normal((b, n, 5))
+    model.zero_grads()
+    with precision(dtype):
+        weights, _ = model.forward(x, prior.normalized, np.random.default_rng(11),
+                                   training=True, static_adjacency=static)
+        loss = loss_from_batch(weights, np.full((b, n), 1.0 / n), targets)
+        loss.backward()
+    return loss
+
+
+def test_default_policy_builds_no_cast_node(prior):
+    loss = _b16_step(CrispModel(ModelConfig()), prior, np.float64)
+    assert all(node.op != "cast" for node in _graph(loss))
+
+
+@pytest.mark.parametrize("variant", [v for _, v in backtest.VARIANTS.values()],
+                         ids=list(backtest.VARIANTS))
+def test_float32_step_gradients_match_float64(prior, variant):
+    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        loss = _b16_step(model, prior, dtype)
+        assert loss.dtype == np.float64
+        grads[dtype] = {p.name: p.grad.copy() for p in model.parameters()}
+    for name, want in grads[np.float64].items():
+        got = grads[np.float32][name]
+        assert got.dtype == np.float64
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-4, (name, rel)
+
+
+def test_float32_policy_keeps_the_whole_encoder_in_float32(prior):
+    # walk back from the encoder's exit cast to its entry casts: a float64
+    # node or constant anywhere in between is a silent upcast
+    model = CrispModel(ModelConfig())
+    loss = _b16_step(model, prior, np.float32)
+    casts = [node for node in _graph(loss) if node.op == "cast"]
+    (exit_cast,) = [c for c in casts if c.dtype == np.float64]
+    entries, stack, seen = [], list(exit_cast._parents), set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        assert node.dtype == np.float32, (node, node.dtype)
+        if node.op == "cast":
+            entries.append(node)
+        else:
+            stack.extend(node._parents)
+    # wx, wh and b of both LSTM directions, Q, K, V and the folded projection
+    assert len(entries) == 10 == len(casts) - 1
+    assert all(c._parents[0].dtype == np.float64 for c in entries)
+    assert all(p.dtype == np.float64 and p.grad.dtype == np.float64
+               for p in model.parameters())

@@ -423,10 +423,24 @@ def test_log_csv_format(trained):
     _, result = trained
     text = result.checkpoint and result.log_csv()
     lines = text.strip().split("\n")
-    assert lines[0] == "epoch,train_loss,val_loss,lr"
+    assert lines[0] == "epoch,train_loss,val_loss,lr,clips,grad_norm"
     assert len(lines) == 1 + len(result.log)
     first = lines[1].split(",")
-    assert first[0] == "0" and len(first) == 4
+    assert first[0] == "0" and len(first) == 6
+    for line, row in zip(lines[1:], result.log):
+        clips, norm = line.split(",")[4:]
+        assert int(clips) == row["clips"] and float(norm) == pytest.approx(row["grad_norm"])
+        assert 0 <= row["clips"] <= 2 and row["grad_norm"] > 0.0     # 2 batches an epoch
+    assert sum(row["clips"] for row in result.log) == result.clip_events
+
+
+def test_log_counts_every_clipped_batch(windows, prior):
+    # 10 training windows in batches of 6: two batches an epoch, both clipped
+    result = train(CrispModel(ModelConfig(init_seed=1)), windows, prior.normalized,
+                   quick_config(clip_norm=1e-9))
+    assert [row["clips"] for row in result.log] == [2, 2]
+    assert result.clip_events == 4
+    assert all(row["grad_norm"] > 1e-9 for row in result.log)
 
 
 def test_model_rejects_state_with_the_dropped_score_bias():
