@@ -40,7 +40,8 @@ from .backtest import (
     run_backtest,
     train_on_universe,
 )
-from .data import RegimeConfig, Universe, generate_synthetic, load_csv, make_windows
+from .data import (RegimeConfig, Universe, generate_synthetic, load_csv, make_windows,
+                   save_csv)
 from .features import roster_csv
 from .graphattn import sparsity_report, telemetry_csv
 from .model import ModelConfig
@@ -226,10 +227,16 @@ def _build(cls, section: str, cfg, **given):
 
 
 def _configs(cfg, book: AssetBook):
-    """Every config dataclass a run uses, built before any data work."""
+    """Every config dataclass a run uses, and the [data] checks, before any data work."""
+    d = cfg["data"]
+    if not 0.0 < d["train_frac"] < 1.0:
+        raise UsageError("[data] train_frac must be strictly between 0 and 1")
+    for key in ("window", "horizon", "train_stride"):
+        if d[key] < 1:
+            raise UsageError(f"[data] {key} must be >= 1, got {d[key]}")
     return (_build(RegimeConfig, "synthetic", cfg),
             _build(ModelConfig, "model", cfg, n_assets=len(book.tickers()),
-                   window=cfg["data"]["window"]),
+                   window=d["window"]),
             _build(TrainConfig, "train", cfg),
             _build(LossWeights, "loss", cfg))
 
@@ -238,8 +245,11 @@ def _build_universe(cfg, book: AssetBook, regime: RegimeConfig) -> Universe:
     source = cfg["data"]["source"]
     if source == "synthetic":
         s = cfg["synthetic"]
-        return generate_synthetic(book.tickers(), s["days"], s["seed"],
-                                  regime, _defensive_indices(cfg, book))
+        try:
+            return generate_synthetic(book.tickers(), s["days"], s["seed"],
+                                      regime, _defensive_indices(cfg, book))
+        except ValueError as exc:       # raised on its arguments, before any draw
+            raise UsageError(f"[synthetic] {exc}") from None
     if source == "csv":
         path = cfg["data"]["csv_path"]
         if not path:
@@ -259,11 +269,6 @@ def _plan_windows(cfg, universe: Universe):
     """
     d = cfg["data"]
     window, horizon = d["window"], d["horizon"]
-    if not 0.0 < d["train_frac"] < 1.0:
-        raise UsageError("[data] train_frac must be strictly between 0 and 1")
-    for key in ("window", "horizon", "train_stride"):
-        if d[key] < 1:
-            raise UsageError(f"[data] {key} must be >= 1, got {d[key]}")
     boundary = int(universe.n_return_days * d["train_frac"])
     train = [w for w in make_windows(universe, window, horizon, d["train_stride"])
              if w.end + horizon <= boundary]
@@ -302,25 +307,19 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         cfg["synthetic"]["seed"] = args.seed
     book = _load_book(cfg)
-    universe = _build_universe(cfg, book, _build(RegimeConfig, "synthetic", cfg))
+    regime, *_ = _configs(cfg, book)     # checks every section, used or not
+    universe = _build_universe(cfg, book, regime)
     out = _ensure_out(args.out)
+    save_csv(universe, os.path.join(out, "universe.csv"))
 
-    rows = ["date,ticker,close,volume"]
-    for i, ticker in enumerate(universe.tickers):
-        for t, date in enumerate(universe.dates):
-            rows.append(f"{date},{ticker},{float(universe.closes[i, t])!r},"
-                        f"{float(universe.volumes[i, t])!r}")
-    _write(os.path.join(out, "universe.csv"), "\n".join(rows) + "\n")
-
-    labels = ["date,regime"]
-    for date, reg in zip(universe.return_dates, universe.regimes):
-        labels.append(f"{date},{'crisis' if reg else 'calm'}")
-    _write(os.path.join(out, "regimes.csv"), "\n".join(labels) + "\n")
+    labels = "".join(f"{date},{'crisis' if reg else 'calm'}\n"
+                     for date, reg in zip(universe.return_dates, universe.regimes))
+    _write(os.path.join(out, "regimes.csv"), "date,regime\n" + labels)
 
     echo_config(cfg, out, _READS["synth"])
     crisis_days = int(universe.regimes.sum())
-    print(f"wrote {len(universe.dates)} days x {universe.n_assets} tickers to "
-          f"{out}/universe.csv ({crisis_days} crisis days)")
+    print(f"wrote {universe.n_return_days} return days ({len(universe.dates)} closes) x "
+          f"{universe.n_assets} tickers to {out}/universe.csv ({crisis_days} crisis days)")
     return 0
 
 

@@ -1,10 +1,11 @@
 """Market data containers, synthetic regime-switching generation, windowing.
 
 A :class:`Universe` holds aligned close prices, volumes and simple returns
-for a fixed ticker roster.  Data enters either from a long-format CSV or
-from :func:`generate_synthetic`, which simulates a two-state (calm/crisis)
-Markov market with a single-factor correlation structure and defensive
-assets that damp their crisis volatility.
+for a fixed ticker roster, in one layout: R+1 closes, the first on a base
+day, give R returns.  Data enters from a long-format CSV (:func:`load_csv`
+reads it, :func:`save_csv` writes it) or from :func:`generate_synthetic`,
+which simulates a two-state (calm/crisis) Markov market with a single-factor
+correlation structure and defensive assets that damp their crisis volatility.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "make_windows",
+    "save_csv",
 ]
 
 
@@ -29,27 +31,32 @@ __all__ = [
 class Universe:
     """Aligned price/volume/return panel for one ticker roster.
 
-    ``returns[:, t]`` is the simple return earned over the day ending at
-    ``return_dates[t]``.  For CSV data that is one day fewer than the price
-    history; synthetic data generates returns directly so both spans match.
+    ``closes``, ``volumes`` and ``dates`` span R+1 days, the first a base day
+    that only anchors the first return: ``returns[:, t]`` is the simple
+    return from close t to close t+1, earned on ``return_dates[t]``, which is
+    ``dates[t + 1]``.  Any other shape raises ``ValueError``.
     """
 
     tickers: list[str]
-    dates: list[str]              # price dates, length L
-    closes: np.ndarray            # (N, L)
-    volumes: np.ndarray           # (N, L)
+    dates: list[str]              # close dates, length R+1
+    closes: np.ndarray            # (N, R+1)
+    volumes: np.ndarray           # (N, R+1)
     returns: np.ndarray           # (N, R)
-    return_dates: list[str]       # length R
     regimes: np.ndarray | None = None   # (R,) int, 0 calm / 1 crisis; synthetic only
+    return_dates: list[str] = field(init=False)   # dates[1:], length R
 
     def __post_init__(self):
-        n = len(self.tickers)
-        if self.closes.shape[0] != n or self.volumes.shape[0] != n or self.returns.shape[0] != n:
-            raise ValueError("ticker count does not match data row count")
-        if self.closes.shape != self.volumes.shape:
-            raise ValueError("closes and volumes must have the same shape")
-        if len(self.return_dates) != self.returns.shape[1]:
-            raise ValueError("return_dates length does not match returns columns")
+        n, r = len(self.tickers), self.returns.shape[-1]
+        regimes = (r,) if self.regimes is None else self.regimes.shape
+        for name, got, need in (("returns", self.returns.shape, (n, r)),
+                                ("closes", self.closes.shape, (n, r + 1)),
+                                ("volumes", self.volumes.shape, (n, r + 1)),
+                                ("dates", (len(self.dates),), (r + 1,)),
+                                ("regimes", regimes, (r,))):
+            if got != need:
+                raise ValueError(f"{name} has shape {got}; {n} tickers over {r} "
+                                 f"return days need {need}")
+        self.return_dates = self.dates[1:]
 
     @property
     def n_assets(self) -> int:
@@ -63,26 +70,15 @@ class Universe:
         """Equal-weighted cross-sectional mean return per day, shape (R,)."""
         return self.returns.mean(axis=0)
 
-    def prices_on_return_days(self) -> np.ndarray:
-        """(N, R) closes aligned so column t is the close ending return day t."""
-        if self.closes.shape[1] == self.returns.shape[1] + 1:
-            return self.closes[:, 1:]
-        return self.closes
-
-    def volumes_on_return_days(self) -> np.ndarray:
-        if self.volumes.shape[1] == self.returns.shape[1] + 1:
-            return self.volumes[:, 1:]
-        return self.volumes
-
     def padded_inputs(self, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Price/volume/market arrays with `pad` edge-replicated leading columns.
 
-        Early windows lack real lookback; replicating the first column makes
-        the pad a stretch of flat, zero-return days, which keeps every
-        window's feature slice the same width.
+        Column t of the unpadded part is the close and volume ending return
+        day t.  Early windows lack real lookback; replicating the first
+        column makes the pad a stretch of flat, zero-return days, which keeps
+        every window's feature slice the same width.
         """
-        p = self.prices_on_return_days()
-        v = self.volumes_on_return_days()
+        p, v = self.closes[:, 1:], self.volumes[:, 1:]
         p_pad = np.concatenate([np.repeat(p[:, :1], pad, axis=1), p], axis=1)
         v_pad = np.concatenate([np.repeat(v[:, :1], pad, axis=1), v], axis=1)
         m_pad = np.concatenate([np.zeros(pad), self.market_returns()])
@@ -147,18 +143,23 @@ def load_csv(path: str, tickers: list[str]) -> Universe:
         raise ValueError(f"need at least 2 common dates across tickers, found {len(common)}")
     dates = sorted(common)
 
-    n, length = len(tickers), len(dates)
-    closes = np.empty((n, length))
-    volumes = np.empty((n, length))
-    for i, t in enumerate(tickers):
-        series = per_ticker[t]
-        for j, d in enumerate(dates):
-            closes[i, j], volumes[i, j] = series[d]
+    panel = np.array([[per_ticker[t][d] for d in dates] for t in tickers])   # (N, L, 2)
+    closes, volumes = panel[:, :, 0], panel[:, :, 1]
+    return Universe(tickers=list(tickers), dates=dates, closes=closes, volumes=volumes,
+                    returns=closes[:, 1:] / closes[:, :-1] - 1.0)
 
-    returns = closes[:, 1:] / closes[:, :-1] - 1.0
-    return Universe(
-        tickers=list(tickers), dates=dates, closes=closes, volumes=volumes,
-        returns=returns, return_dates=dates[1:])
+
+def save_csv(universe: Universe, path: str) -> None:
+    """Write ``universe`` in the long format :func:`load_csv` reads.
+
+    Floats are written by ``repr``, so closes and volumes reload bitwise.
+    """
+    with open(path, "w") as fh:
+        fh.write("date,ticker,close,volume\n")
+        for ticker, closes, volumes in zip(universe.tickers, universe.closes.tolist(),
+                                           universe.volumes.tolist()):
+            for date, close, volume in zip(universe.dates, closes, volumes):
+                fh.write(f"{date},{ticker},{close!r},{volume!r}\n")
 
 
 @dataclass
@@ -204,9 +205,9 @@ def generate_synthetic(tickers: list[str], days: int, seed: int,
     single-factor model r_i = mu_i + vol_i * (sqrt(rho) * f + sqrt(1-rho) * e_i)
     with the factor and idiosyncratic draws standard normal.  Defensive
     assets have their crisis volatility scaled by ``defensive_vol_factor``
-    and their crisis mean floored at zero.  Prices compound from 100 and a
-    synthetic volume series is drawn lognormally.  Fully reproducible from
-    the seed.
+    and their crisis mean floored at zero.  Prices compound from a base-day
+    close of 100 and a synthetic volume series is drawn lognormally, the
+    base day repeating day 0's volume.  Fully reproducible from the seed.
     """
     if days < 2:
         raise ValueError(f"need at least 2 days, got {days}")
@@ -243,13 +244,13 @@ def generate_synthetic(tickers: list[str], days: int, seed: int,
     resid = np.sqrt(1.0 - corr)
     returns = mu + sigma * (loading * factor + resid * idio)
 
-    closes = 100.0 * np.cumprod(1.0 + returns, axis=1)
+    closes = 100.0 * np.cumprod(np.hstack([np.ones((n, 1)), 1.0 + returns]), axis=1)
     volumes = np.exp(rng.normal(loc=13.0, scale=0.5, size=(n, days)))
+    volumes = np.hstack([volumes[:, :1], volumes])
 
-    dates = [f"d{t:05d}" for t in range(days)]
     return Universe(
-        tickers=list(tickers), dates=dates, closes=closes, volumes=volumes,
-        returns=returns, return_dates=dates, regimes=regimes)
+        tickers=list(tickers), dates=[f"d{t:05d}" for t in range(days + 1)],
+        closes=closes, volumes=volumes, returns=returns, regimes=regimes)
 
 
 @dataclass

@@ -447,10 +447,11 @@ def test_08_causality_audit(twin_runs, small_universe, book, prior, small_window
     e = small_windows[24].end
     gen = np.random.default_rng(8)
 
+    # close and volume column c + 1 ends return day c
     closes = u.closes.copy()
-    closes[:, e + 1:] = closes[:, e + 1:] * 1.7 + 3.1
+    closes[:, e + 2:] = closes[:, e + 2:] * 1.7 + 3.1
     volumes = u.volumes.copy()
-    volumes[:, e + 1:] = volumes[:, e + 1:][:, ::-1] * 2.0
+    volumes[:, e + 2:] = volumes[:, e + 2:][:, ::-1] * 2.0
     returns = u.returns.copy()
     returns[:, e + 1:] = 0.05 * gen.standard_normal(returns[:, e + 1:].shape)
     regimes = u.regimes.copy()

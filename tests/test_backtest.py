@@ -64,7 +64,7 @@ def test_backtest_hand_oracle(five_universe, five_windows):
     assert np.allclose(report.daily_returns, manual_daily, atol=1e-15)
     assert np.allclose(report.equity, np.cumprod(1.0 + manual_daily), atol=1e-15)
     assert len(report.daily_returns) == 15
-    assert report.dates == [f"d{j:05d}" for w in tail
+    assert report.dates == [f"d{j + 1:05d}" for w in tail
                             for j in range(w.end + 1, w.end + 6)]
 
     uniform = np.full(5, 0.2)

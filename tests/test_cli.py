@@ -201,12 +201,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ("train", "clip_norm", 0, "clip_norm must be positive, got 0.0"),
     ("model", "gat_heads", 3, "3 heads do not divide refined width 128"),
     ("synthetic", "crisis_vol", -1, "crisis_vol must be positive, got -1.0"),
-], ids=["clip_norm", "gat_heads", "crisis_vol"])
+    ("synthetic", "days", 1, "need at least 2 days, got 1"),
+    ("synthetic", "defensive_indices", 40, "defensive index 40 out of range for 13 tickers"),
+], ids=["clip_norm", "gat_heads", "crisis_vol", "days", "defensive_indices"])
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, section, key,
                                                      value, message):
     # the dataclasses are built before any data work, so no output appears
     cfg = write(tmp_path, f"[{section}]\n{key} = {value}\n")
-    for command in ("train", "backtest", "ablate"):
+    for command in ("synth", "train", "backtest", "ablate"):
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: [{section}] {message}" in capsys.readouterr().err
@@ -238,9 +240,28 @@ def test_synth_writes_market(tmp_path, capsys):
     assert market[0] == "date,ticker,close,volume"
     n_days = len((out / "regimes.csv").read_text().strip().split("\n")) - 1
     assert n_days == 30
-    assert len(market) == 1 + 13 * 30
+    assert len(market) == 1 + 13 * 31       # a base-day close precedes return day 0
     assert (out / "resolved_config.ini").is_file()
-    assert "13 tickers" in capsys.readouterr().out
+    assert "30 return days (31 closes) x 13 tickers" in capsys.readouterr().out
+
+
+def test_synth_csv_reloads_to_the_same_split(tmp_path, capsys):
+    cfg = write(tmp_path, "[synthetic]\ndays = 400\n[backtest]\nstrategies = equal_weight\n")
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "synth")]) == 0
+    reload = write(tmp_path, f"[data]\nsource = csv\ncsv_path = {tmp_path / 'synth'}"
+                             f"/universe.csv\n[backtest]\nstrategies = equal_weight\n",
+                   name="csv.ini")
+    summaries = []
+    for path, out in ((cfg, "memory"), (reload, "csv")):
+        assert main(["backtest", "--config", path, "--out", str(tmp_path / out)]) == 0
+        summaries.append(json.loads((tmp_path / out / "metrics.json").read_text()))
+    capsys.readouterr()
+    memory, csv = summaries
+    assert memory["boundary_day"] == csv["boundary_day"] == 280
+    assert memory["periods"] == csv["periods"]
+    dates = [[line.split(",")[0] for line in (tmp_path / out / "equity_equal_weight.csv")
+              .read_text().split("\n")] for out in ("memory", "csv")]
+    assert dates[0] == dates[1]
 
 
 def test_unknown_variant_and_missing_checkpoint(tmp_path):

@@ -11,6 +11,7 @@ from crisp.data import (
     generate_synthetic,
     load_csv,
     make_windows,
+    save_csv,
 )
 
 TICKERS3 = ["AAA", "BBB"]
@@ -160,19 +161,53 @@ def test_load_csv_property_bad_row_names_its_line(tmp_path_factory, market, kind
         load_csv(str(path), tickers)
 
 
+def _panel(n=2, r=3, **changes):
+    """Universe arguments in the one layout (R+1 closes for R returns), then ``changes``."""
+    args = dict(tickers=[f"T{i}" for i in range(n)], dates=[f"d{i}" for i in range(r + 1)],
+                closes=np.ones((n, r + 1)), volumes=np.ones((n, r + 1)),
+                returns=np.zeros((n, r)), regimes=np.zeros(r, dtype=np.int64))
+    return {**args, **changes}
+
+
 def test_universe_validation():
-    with pytest.raises(ValueError, match="ticker count"):
-        Universe(tickers=["A"], dates=["d0"], closes=np.ones((2, 1)),
-                 volumes=np.ones((2, 1)), returns=np.ones((2, 1)),
-                 return_dates=["d0"])
+    u = Universe(**_panel())
+    assert u.return_dates == ["d1", "d2", "d3"] and u.n_return_days == 3
+    assert Universe(**_panel(regimes=None)).regimes is None
+    for changes, message in [
+        (dict(tickers=["A"]), r"returns has shape \(2, 3\); 1 tickers over 3 return days "
+                              r"need \(1, 3\)"),
+        (dict(closes=np.ones((2, 3))), r"closes has shape \(2, 3\);.* need \(2, 4\)"),
+        (dict(closes=np.ones((3, 4))), r"closes has shape \(3, 4\);.* need \(2, 4\)"),
+        (dict(volumes=np.ones((2, 5))), r"volumes has shape \(2, 5\);.* need \(2, 4\)"),
+        (dict(dates=["d0", "d1", "d2"]), r"dates has shape \(3,\);.* need \(4,\)"),
+        (dict(dates=[f"d{i}" for i in range(5)]), r"dates has shape \(5,\);.* need \(4,\)"),
+        (dict(regimes=np.zeros(4, dtype=np.int64)), r"regimes has shape \(4,\);.* need \(3,\)"),
+        (dict(regimes=np.zeros((1, 3))), r"regimes has shape \(1, 3\);.* need \(3,\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Universe(**_panel(**changes))
+    with pytest.raises(TypeError):      # derived from dates, never given
+        Universe(**_panel(), return_dates=["d1", "d2", "d3"])
 
 
 def test_market_returns_equal_weight_mean(rng):
     r = rng.standard_normal((3, 5)) * 0.01
-    u = Universe(tickers=list("ABC"), dates=[f"d{i}" for i in range(5)],
-                 closes=np.ones((3, 5)), volumes=np.ones((3, 5)),
-                 returns=r, return_dates=[f"d{i}" for i in range(5)])
+    u = Universe(tickers=list("ABC"), dates=[f"d{i}" for i in range(6)],
+                 closes=np.ones((3, 6)), volumes=np.ones((3, 6)), returns=r)
     assert np.allclose(u.market_returns(), r.mean(axis=0), atol=1e-15)
+
+
+def test_save_csv_round_trips_a_synthetic_market(tmp_path):
+    u = generate_synthetic([f"S{i}" for i in range(5)], 120, seed=7, defensive_indices=[1])
+    path = str(tmp_path / "market.csv")
+    save_csv(u, path)
+    back = load_csv(path, u.tickers)
+    assert back.tickers == u.tickers
+    assert back.dates == u.dates and back.return_dates == u.return_dates
+    assert back.closes.tobytes() == np.ascontiguousarray(u.closes).tobytes()
+    assert back.volumes.tobytes() == np.ascontiguousarray(u.volumes).tobytes()
+    assert back.returns.shape == u.returns.shape == (5, 120)
+    assert np.abs(back.returns - u.returns).max() <= 1e-15
 
 
 def test_regime_config_validates_rows():
@@ -231,9 +266,12 @@ def test_synthetic_occupancy_near_stationary():
 
 def test_synthetic_prices_compound_from_returns():
     u = generate_synthetic(TICKERS3, 50, seed=5)
-    assert np.allclose(u.closes, 100.0 * np.cumprod(1.0 + u.returns, axis=1),
+    assert u.closes.shape == u.volumes.shape == (2, 51) and len(u.dates) == 51
+    assert (u.closes[:, 0] == 100.0).all()        # the base day
+    assert np.allclose(u.closes[:, 1:], 100.0 * np.cumprod(1.0 + u.returns, axis=1),
                        atol=1e-9)
     assert (u.volumes > 0).all()
+    assert u.dates[0] == "d00000" and u.return_dates[0] == "d00001"
 
 
 def test_make_windows_counts():
