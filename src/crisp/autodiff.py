@@ -19,6 +19,9 @@ Design notes:
   float64 (float64 master weights, as in Micikevicius et al., *Mixed
   Precision Training*, arXiv:1710.03740).  ``cast`` to the dtype a tensor
   already has returns it unchanged, so the default policy adds no node.
+  The model sets a float32 policy for its temporal encoder in training
+  and in every no-grad forward (``model.ENCODER_DTYPE``); gradient checks
+  and direct ``forward`` calls run at the default.
   Ops take their dtype from their operands; a float32 op must combine with
   Python scalars only, since a 0-d float64 array upcasts it under NEP 50.
 * Only leaves keep ``.grad``: parameters and user tensors created with

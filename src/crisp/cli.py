@@ -270,10 +270,13 @@ def _plan_windows(cfg, universe: Universe):
     d = cfg["data"]
     window, horizon = d["window"], d["horizon"]
     boundary = int(universe.n_return_days * d["train_frac"])
-    train = [w for w in make_windows(universe, window, horizon, d["train_stride"])
-             if w.end + horizon <= boundary]
-    test = [w for w in make_windows(universe, window, horizon, horizon)
-            if w.end >= boundary]
+    try:
+        strided = make_windows(universe, window, horizon, d["train_stride"])
+        tiled = make_windows(universe, window, horizon, horizon)
+    except ValueError as exc:           # a history too short for one window
+        raise UsageError(str(exc)) from None
+    train = [w for w in strided if w.end + horizon <= boundary]
+    test = [w for w in tiled if w.end >= boundary]
     if not train:
         raise UsageError("train split is empty; raise train_frac or add data")
     if not test:

@@ -10,6 +10,15 @@ its weight rows and adds the spatial term once per window.  The ablation
 variants (single-head graph attention, mean-pool aggregation, static
 correlation graph, reduced feature set) are config switches so the trainer
 and backtester treat all of them uniformly.
+
+Training and every no-grad forward (``allocate``, which serves
+walk-forward, backtests and ablations, and the training loop's validation)
+run under the ``ENCODER_DTYPE`` (float32) ``autodiff.precision`` policy,
+so a checkpoint is chosen and served by the function it was trained as.
+Only the temporal encoder computes at that dtype; parameters, the spatial
+encoder, graph attention, the allocation head, the projection and the loss
+stay float64.  ``forward`` itself runs at its caller's policy, float64 by
+default.
 """
 
 from __future__ import annotations
@@ -21,14 +30,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .allocation import AllocationHead
-from .autodiff import ParameterBag, Tensor, matmul, no_grad, uniform_init
+from .autodiff import ParameterBag, Tensor, matmul, no_grad, precision, uniform_init
 from .features import feature_columns
 from .graphattn import REFINED, GatLayer
 from .nn import joined_matmul
 from .spatial import SpatialEncoder
 from .temporal import TemporalEncoder
 
-__all__ = ["CrispModel", "ModelConfig"]
+__all__ = ["ENCODER_DTYPE", "CrispModel", "ModelConfig"]
+
+# the temporal encoder's dtype in training and inference
+ENCODER_DTYPE = np.float32
 
 
 @dataclass
@@ -131,9 +143,12 @@ class CrispModel:
     def allocate(self, features: np.ndarray, prior_adjacency: np.ndarray,
                  static_adjacency: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Eval-mode single-window forward: (N, T, F) -> ((N,), attention)."""
+        """Eval-mode single-window forward: (N, T, F) -> ((N,), attention).
+
+        Runs under the ``ENCODER_DTYPE`` policy, as training does.
+        """
         rng = np.random.default_rng(0)     # dropout disabled in eval; unused
-        with no_grad():
+        with no_grad(), precision(ENCODER_DTYPE):
             batch = features[None, ...]
             static = None if static_adjacency is None else static_adjacency[None, ...]
             weights, alphas = self.forward(batch, prior_adjacency, rng,

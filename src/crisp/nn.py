@@ -2,9 +2,10 @@
 
 Layers here hold no state beyond their parameters, which live in a shared
 ``ParameterBag`` owned by the model, so checkpointing and optimizer loops
-see one flat namespace.  The LSTM runs at its input's dtype (float32 inside
-the temporal encoder under a float32 ``autodiff.precision`` policy, float64
-elsewhere); its float64 weights are cast to it once per run.
+see one flat namespace.  The LSTM runs at its input's dtype: float32 inside
+the temporal encoder under the float32 ``autodiff.precision`` policy that
+training and ``CrispModel.allocate`` set, float64 elsewhere.  Its float64
+weights are cast to that dtype once per run.
 """
 
 from __future__ import annotations
@@ -115,18 +116,23 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
     out = np.empty((batch, steps, hd), dt)
     h = np.zeros((batch, hd), dt)
     c = np.zeros((batch, hd), dt)
-    for t in order:
-        z = gates[:, t]
-        z += h @ wh.data
-        z[:, :2 * hd] = _sigmoid(z[:, :2 * hd])
-        z[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
-        z[:, 3 * hd:] = _sigmoid(z[:, 3 * hd:])
-        i, f, g, o = (z[:, k * hd:(k + 1) * hd] for k in range(4))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        out[:, t] = h
-        if keep:
-            cells[:, t] = c
+    # the sigmoid's exp(-z) overflows to inf once z falls below about -88 in
+    # float32 (-709 in float64), and 1 / (1 + inf) is then the exact limit
+    # 0.  Every other value here is bounded (|h| <= 1, |c| <= T), so this
+    # silences that warning alone; invalid values and NaN still surface
+    with np.errstate(over="ignore"):
+        for t in order:
+            z = gates[:, t]
+            z += h @ wh.data
+            z[:, :2 * hd] = _sigmoid(z[:, :2 * hd])
+            z[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
+            z[:, 3 * hd:] = _sigmoid(z[:, 3 * hd:])
+            i, f, g, o = (z[:, k * hd:(k + 1) * hd] for k in range(4))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            out[:, t] = h
+            if keep:
+                cells[:, t] = c
     if not keep:
         return Tensor(out)
 

@@ -9,10 +9,12 @@ Every run starts fresh and keeps the chronological tail of its windows for
 validation; feature normalization statistics are fitted on the part before
 the tail only, so nothing later in time leaks into them.
 
-Each batch's forward, loss and backward run under a float32
-``autodiff.precision`` policy, so the temporal encoder computes in float32.
-Parameters, gradients, Adam moments, clipping, the loss, validation and
-checkpoints stay float64 (float64 master weights).
+Each batch's forward, loss and backward, and each epoch's validation
+forward, run under the ``model.ENCODER_DTYPE`` (float32)
+``autodiff.precision`` policy, so the temporal encoder computes in float32
+there, as it does in ``CrispModel.allocate``: the checkpoint is chosen by
+the function that serves it.  Parameters, gradients, Adam moments,
+clipping, the loss and checkpoints stay float64 (float64 master weights).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .autodiff import no_grad, precision
 from .data import Window
 from .features import FeatureNormalizer, feature_columns
-from .model import CrispModel, ModelConfig
+from .model import ENCODER_DTYPE, CrispModel, ModelConfig
 from .objectives import LossWeights, loss_from_batch
 
 __all__ = [
@@ -310,7 +312,7 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
             for lo in range(0, n_train, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
                 model.zero_grads()
-                with precision(np.float32):
+                with precision(ENCODER_DTYPE):
                     weights, _ = model.forward(
                         feats[idx], prior_adjacency, rng, training=True,
                         static_adjacency=None if static is None else static[idx])
@@ -330,7 +332,7 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
             break
         last_good = model.state()
 
-        with no_grad():
+        with no_grad(), precision(ENCODER_DTYPE):
             w, _ = model.forward(
                 feats[n_train:], prior_adjacency, np.random.default_rng(0), training=False,
                 static_adjacency=None if static is None else static[n_train:])

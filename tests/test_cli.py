@@ -224,6 +224,19 @@ def test_window_lengths_below_one_are_usage_errors(tmp_path, capsys, key, value)
     assert f"[data] {key} must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("days, message", [
+    (20, "history of 20 return days cannot fit window=20 plus horizon=5"),
+    (30, "train split is empty; raise train_frac or add data"),
+], ids=["no_window", "no_train_window"])
+def test_too_short_markets_are_usage_errors(tmp_path, capsys, days, message):
+    cfg = write(tmp_path, f"[synthetic]\ndays = {days}\n")
+    for command in ("train", "backtest", "ablate"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_features_prints_roster(capsys):
     assert main(["features"]) == 0
     out = capsys.readouterr().out

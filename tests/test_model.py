@@ -1,19 +1,23 @@
 """The model's forward against the joined-embedding composition, its float32
-precision policy, and its memory."""
+precision policy in training and inference, and its memory."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from crisp import backtest
-from crisp.allocation import DROPOUT_RATE, TEMPERATURE, project_constraints_tensor
-from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, precision, softmax
+from crisp.allocation import (DROPOUT_RATE, TEMPERATURE, WEIGHT_CAP, WEIGHT_FLOOR,
+                               project_constraints_tensor)
+from crisp.autodiff import (Tensor, concat, dropout, leaky_relu, matmul, no_grad, precision,
+                            softmax)
+from crisp.data import make_windows
 from crisp.graphattn import LEAKY_SLOPE
-from crisp.model import CrispModel, ModelConfig
+from crisp.model import ENCODER_DTYPE, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
-from crisp.training import AdamState, adam_step, clip_gradients
+from crisp.training import AdamState, TrainConfig, adam_step, clip_gradients
 
 from test_nn import composed_lstm
 
@@ -154,6 +158,21 @@ def test_float32_training_step_peak_memory(prior):
     assert peak < 165e6, f"float32 train step peak {peak / 1e6:.1f} MB"
 
 
+def test_allocate_peak_memory(prior):
+    # tracemalloc's peak depends only on the array shapes: 1.93 MB here, and
+    # 3.53 MB for the same forward at the float64 policy
+    model = CrispModel(ModelConfig())
+    x = np.random.default_rng(0).standard_normal(
+        (model.config.n_assets, model.config.window, model.config.n_features))
+    tracemalloc.start()
+    try:
+        model.allocate(x, prior.normalized)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6, f"allocate peak {peak / 1e6:.2f} MB"
+
+
 def _graph(root: Tensor) -> list[Tensor]:
     """Every tensor the graph under ``root`` reaches, constants included."""
     seen, stack, nodes = set(), [root], []
@@ -229,3 +248,87 @@ def test_float32_policy_keeps_the_whole_encoder_in_float32(prior):
     assert all(c._parents[0].dtype == np.float64 for c in entries)
     assert all(p.dtype == np.float64 and p.grad.dtype == np.float64
                for p in model.parameters())
+
+
+# -- inference: allocate at the training policy against the float64 forward --
+
+# largest gaps measured in the tests below, weights and alphas: 5.3e-11 and
+# 1.6e-10 on normalized inputs, 1.1e-10 and 7.7e-10 for the trained
+# checkpoint, 5.2e-10 and 1.0e-9 on inputs 100 times larger
+_INFERENCE_TOL = 1e-8
+
+
+def _window_inputs(model, seed=5, scale=1.0):
+    """One window of normalized-scale features, and a static adjacency if the
+    variant needs one."""
+    gen = np.random.default_rng(seed)
+    n, cfg = model.config.n_assets, model.config
+    x = scale * gen.standard_normal((n, cfg.window, cfg.n_features))
+    static = None
+    if cfg.static_graph:
+        adj = np.abs(gen.standard_normal((n, n)))
+        static = adj / adj.sum(axis=-1, keepdims=True)
+    return x, static
+
+
+def _assert_allocate_matches_float64(model, x, prior_adjacency, static=None):
+    """``allocate`` within ``_INFERENCE_TOL`` of the same eval forward at the
+    default float64 policy, in the weights and the last-step alphas."""
+    got_w, got_a = model.allocate(x, prior_adjacency, static)
+    with no_grad(), precision(np.float64):
+        want_w, want_a = model.forward(
+            x[None], prior_adjacency, np.random.default_rng(0), training=False,
+            static_adjacency=None if static is None else static[None])
+    assert np.abs(got_w - want_w.data[0]).max() <= _INFERENCE_TOL
+    if want_a is None:
+        assert got_a is None
+    else:
+        assert np.abs(got_a - want_a[0]).max() <= _INFERENCE_TOL
+    return got_w, got_a
+
+
+@pytest.mark.parametrize("variant", [v for _, v in backtest.VARIANTS.values()],
+                         ids=list(backtest.VARIANTS))
+def test_allocate_matches_the_float64_forward(prior, variant):
+    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    x, static = _window_inputs(model)
+    _assert_allocate_matches_float64(model, x, prior.normalized, static)
+
+
+def test_trained_checkpoint_allocates_as_the_float64_forward(book, small_universe, prior):
+    windows = make_windows(small_universe, 20, 5, 5)[:12]
+    cfg = TrainConfig(learning_rate=5e-4, lr_min=5e-4, batch_size=6, max_epochs=2,
+                      patience=5, val_fraction=0.2, seed=0)
+    _, result = backtest.train_on_universe(small_universe, book, prior, windows,
+                                           ModelConfig(), cfg)
+    ck = result.checkpoint
+    model = CrispModel(ck.model_config)
+    model.load_state(ck.best_params)
+    normalizer = ck.feature_normalizer()
+    for w in windows:
+        _assert_allocate_matches_float64(model, normalizer.transform(w.features),
+                                         prior.normalized)
+
+
+def test_allocate_runs_the_encoder_at_the_training_dtype(prior, monkeypatch):
+    model = CrispModel(ModelConfig())
+    seen, bilstm = [], model.temporal.bilstm
+    monkeypatch.setattr(model.temporal, "bilstm", lambda x: seen.append(x.dtype) or bilstm(x))
+    x, _ = _window_inputs(model)
+    weights, _ = model.allocate(x, prior.normalized)
+    assert seen == [ENCODER_DTYPE] and ENCODER_DTYPE == np.float32
+    assert weights.dtype == np.float64
+    assert all(p.dtype == np.float64 for p in model.parameters())
+
+
+def test_saturated_float32_gates_warn_nothing(prior):
+    # inputs 100 times the normalized scale push the float32 LSTM gates past
+    # the sigmoid's overflow point; the gates saturate at their exact limits
+    model = CrispModel(ModelConfig(init_seed=3))
+    x, _ = _window_inputs(model, scale=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights, alphas = _assert_allocate_matches_float64(model, x, prior.normalized)
+    assert np.isfinite(weights).all() and np.isfinite(alphas).all()
+    assert abs(weights.sum() - 1.0) <= 1e-9
+    assert weights.min() >= WEIGHT_FLOOR - 1e-9 and weights.max() <= WEIGHT_CAP + 1e-9

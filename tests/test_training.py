@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crisp.autodiff import Parameter
+from crisp.autodiff import Parameter, grad_enabled
 from crisp.backtest import attach_features
 from crisp.data import make_windows
 from crisp.features import feature_columns
-from crisp.model import CrispModel, ModelConfig
+from crisp.model import ENCODER_DTYPE, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
 from crisp.training import (
     AdamState,
@@ -324,6 +324,18 @@ def test_training_is_deterministic(windows, prior):
     assert log_a == log_b
     for key in state_a:
         assert np.array_equal(state_a[key], state_b[key]), key
+
+
+def test_batches_and_validation_run_the_encoder_at_one_dtype(windows, prior, monkeypatch):
+    # the validation forward that picks the checkpoint runs at the dtype the
+    # batches train at, which is also the one allocate serves it at
+    model = CrispModel(ModelConfig(init_seed=1))
+    seen, bilstm = [], model.temporal.bilstm
+    monkeypatch.setattr(model.temporal, "bilstm",
+                        lambda x: seen.append((grad_enabled(), x.dtype)) or bilstm(x))
+    train(model, windows, prior.normalized, quick_config(max_epochs=1))
+    # 10 training windows at batch 6, then the 2-window validation tail
+    assert seen == [(True, ENCODER_DTYPE)] * 2 + [(False, ENCODER_DTYPE)]
 
 
 def test_validation_tail_excluded_from_normalizer(windows, prior):
