@@ -10,7 +10,12 @@ sharpened by a temperature-0.8 softmax and projected onto the feasible set
 The projection alternates clipping with renormalization of the free
 coordinates (those not pinned at a bound in the needed direction) until
 the maximum violation drops below 1e-9; it cannot emit out-of-bound
-weights, and a NaN input raises.  ``project_constraints`` is its one copy:
+weights, and a NaN input raises.  It clips in place, and when every
+coordinate is free (the all-free fast path) it rescales the whole vector by
+1 / s, the very factor the masked renormalization computes then.  The
+arithmetic is that of the plain clip-and-mask loop, so every result is
+bitwise the same; the tests keep that loop as the reference.
+``project_constraints`` is its one copy:
 the model runs it per row as one autodiff node, ``project``, whose backward
 is the closed-form Jacobian on the free support (arXiv:1602.02068).  A row
 the first clip made feasible passes g where lo <= x_j <= hi.  In a
@@ -92,16 +97,21 @@ def project_constraints(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64).copy()
     check_feasible_universe(w.size)
     for _ in range(_MAX_ITER):              # a finite w needs at most N + 1 passes
-        w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CAP)
-        s = w.sum()
+        np.maximum(w, WEIGHT_FLOOR, out=w)
+        np.minimum(w, WEIGHT_CAP, out=w)
+        s = np.add.reduce(w)
         if abs(s - 1.0) <= _TOL:              # never true of a NaN sum
             return w
         if s > 1.0:
             free = w > WEIGHT_FLOOR
         else:
             free = w < WEIGHT_CAP
-        fixed_sum = w[~free].sum()
-        w[free] *= (1.0 - fixed_sum) / w[free].sum()
+        if free.all():
+            # the masked branch's factor, (1 - 0) / (sum of a copy of w), is 1 / s
+            w *= 1.0 / s
+        else:
+            fixed_sum = w[~free].sum()
+            w[free] *= (1.0 - fixed_sum) / w[free].sum()
     raise FloatingPointError(f"projection failed to converge: sum {s:.12f}")
 
 

@@ -15,6 +15,7 @@ transaction costs; turnover is reported separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
 from typing import Callable
@@ -157,9 +158,23 @@ def equal_weight() -> Strategy:
     return Strategy("Equal Weight", fn)
 
 
+def _check_lookback(lookback: int) -> None:
+    # one day of returns has no covariance; below that the slice is empty
+    if lookback < 2:
+        raise ValueError(f"lookback must be >= 2 days, got {lookback}")
+
+
 def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
-    """Markowitz utility maximized by projected gradient ascent (500 steps of 0.01)."""
+    """Markowitz utility maximized by projected gradient ascent (500 steps of 0.01).
+
+    Raises ``ValueError`` for a lookback below 2 days or a risk aversion that
+    is negative or not finite.
+    """
+    _check_lookback(lookback)
+    if not (math.isfinite(risk_aversion) and risk_aversion >= 0.0):
+        raise ValueError(f"risk_aversion must be finite and >= 0, got {risk_aversion}")
     strat = Strategy("Mean-Variance", None)
+    variance_weight = 2.0 * risk_aversion
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
         n = universe.n_assets
@@ -172,7 +187,7 @@ def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
         sigma = np.cov(hist) + 1e-6 * np.eye(n)
         w = np.full(n, 1.0 / n)
         for _ in range(_MV_STEPS):
-            grad = mu - 2.0 * risk_aversion * (sigma @ w)
+            grad = mu - variance_weight * (sigma @ w)
             w = project_constraints(w + _MV_STEP_SIZE * grad)
         return PortfolioWeights(w)
 
@@ -193,11 +208,15 @@ def risk_parity_weights(cov: np.ndarray) -> np.ndarray:
     if (diag <= 0.0).any():
         raise ValueError("risk parity needs strictly positive variances")
     y = 1.0 / np.sqrt(diag * n)
+    # each coordinate's row and constants, read once as Python floats; the
+    # arithmetic is the same IEEE double arithmetic as on numpy scalars
+    coords = [(i, c[i], c_ii, 4.0 * c_ii / n, 2.0 * c_ii)
+              for i, c_ii in enumerate(diag.tolist())]
     for _ in range(_RP_MAX_SWEEPS):
         y_prev = y.copy()
-        for i in range(n):
-            resid = c[i] @ y - c[i, i] * y[i]
-            y[i] = (-resid + np.sqrt(resid * resid + 4.0 * c[i, i] / n)) / (2.0 * c[i, i])
+        for i, row, c_ii, four_c_ii_n, two_c_ii in coords:
+            resid = float(row @ y) - c_ii * float(y[i])
+            y[i] = (-resid + math.sqrt(resid * resid + four_c_ii_n)) / two_c_ii
         w = y / y.sum()
         contrib = w * (c @ w)
         if contrib.max() - contrib.min() <= _RP_TOL * contrib.max():
@@ -208,6 +227,8 @@ def risk_parity_weights(cov: np.ndarray) -> np.ndarray:
 
 
 def risk_parity(lookback: int = 252) -> Strategy:
+    """Projected equal-risk-contribution weights; a lookback below 2 raises."""
+    _check_lookback(lookback)
     strat = Strategy("Risk Parity", None)
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:

@@ -227,13 +227,19 @@ def _build(cls, section: str, cfg, **given):
 
 
 def _configs(cfg, book: AssetBook):
-    """Every config dataclass a run uses, and the [data] checks, before any data work."""
+    """Every config dataclass a run uses, and the [data] and [backtest] checks,
+    before any data work."""
     d = cfg["data"]
     if not 0.0 < d["train_frac"] < 1.0:
         raise UsageError("[data] train_frac must be strictly between 0 and 1")
     for key in ("window", "horizon", "train_stride"):
         if d[key] < 1:
             raise UsageError(f"[data] {key} must be >= 1, got {d[key]}")
+    for name, build in _BASELINES.items():    # each rejects its own bad values
+        try:
+            build(cfg["backtest"])
+        except ValueError as exc:
+            raise UsageError(f"[backtest] {name}: {exc}") from None
     return (_build(RegimeConfig, "synthetic", cfg),
             _build(ModelConfig, "model", cfg, n_assets=len(book.tickers()),
                    window=d["window"]),

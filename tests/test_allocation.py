@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crisp.allocation import (
@@ -19,6 +19,28 @@ from crisp.allocation import (
 from crisp.autodiff import ParameterBag, Tensor, no_grad, softmax
 
 from _gradcheck import max_rel_error
+
+
+def reference_projection(w):
+    """The plain clip-and-mask projection, with no in-place clip or fast path.
+
+    The oracle for the projection's bits: ``project_constraints`` must
+    return exactly this array for every input, and raise where it raises.
+    """
+    w = np.asarray(w, dtype=np.float64).copy()
+    check_feasible_universe(w.size)
+    for _ in range(100):                    # a finite w needs at most N + 1 passes
+        w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CAP)
+        s = w.sum()
+        if abs(s - 1.0) <= 1e-9:              # never true of a NaN sum
+            return w
+        if s > 1.0:
+            free = w > WEIGHT_FLOOR
+        else:
+            free = w < WEIGHT_CAP
+        fixed_sum = w[~free].sum()
+        w[free] *= (1.0 - fixed_sum) / w[free].sum()
+    raise FloatingPointError(f"projection failed to converge: sum {s:.12f}")
 
 
 def composed_projection(w):
@@ -127,6 +149,54 @@ def test_projection_feasibility_property(values, seed):
     assert feasible(w)
 
 
+_NEAR_UNIFORM = np.full(13, 1.0 / 13) + 1e-4 * np.sin(np.arange(13.0))
+# one input per path through the projection's loop
+_PATH_INPUTS = {
+    "one_pass": np.full(13, 1.0 / 13),
+    "all_free_above": 1.01 * _NEAR_UNIFORM,
+    "all_free_below": 0.99 * _NEAR_UNIFORM,
+    "cap_pinned": np.array([1.0] + [0.0] * 12),
+    "floor_pinned": np.array([0.0] * 3 + [0.3] * 10),
+    "several_passes": np.array([0.5, 0.24, 0.19] + [0.007] * 10),
+}
+
+
+@pytest.mark.parametrize("path", list(_PATH_INPUTS))
+def test_projection_paths_match_the_reference_bitwise(path):
+    x = _PATH_INPUTS[path]
+    w = project_constraints(x)
+    assert np.array_equal(w, reference_projection(x))
+    if path == "one_pass":
+        assert np.array_equal(w, x)
+    elif path.startswith("all_free"):
+        # one whole-vector rescale by 1 / s, then a pass that returns
+        assert np.array_equal(w, x * (1.0 / x.sum()))
+    else:
+        assert ((w == WEIGHT_FLOOR) | (w == WEIGHT_CAP)).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-0.1, max_value=0.6), min_size=5, max_size=30),
+       st.sampled_from([1e-3, 0.1, 1.0, 5.0]))
+@example([0.3, 0.3, 0.2, 0.1, 0.1], 1.0)           # clipping alone makes it feasible
+@example([0.19, 0.21, 0.2, 0.2, 0.2], 1.01)        # every coordinate free, sum above 1
+@example([0.0, 0.0, 0.4, 0.3, 0.3], 1.0)           # floor and cap pinned, several passes
+def test_projection_matches_the_reference_bitwise(values, scale):
+    # entries fall below the floor and above the cap; the scale moves the
+    # sum far from 1 or leaves it near, so every path of the loop is taken
+    x = scale * np.asarray(values)
+    assert np.array_equal(project_constraints(x), reference_projection(x))
+
+
+def test_projection_matches_the_reference_on_softmax_rows():
+    gen = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(gen.integers(5, 31))
+        scores = gen.uniform(0.01, 4.0) * gen.standard_normal(n)
+        x = softmax(Tensor(scores), temperature=TEMPERATURE).data
+        assert np.array_equal(project_constraints(x), reference_projection(x))
+
+
 def test_tensor_projection_matches_numpy(rng):
     rows = []
     for _ in range(64):
@@ -213,6 +283,8 @@ def test_projection_rejects_nan():
     for bad in (np.full(13, np.nan), np.array([np.nan] + [1.0 / 12] * 12)):
         with pytest.raises(FloatingPointError, match="converge"):
             project_constraints(bad)
+        with pytest.raises(FloatingPointError, match="converge"):
+            reference_projection(bad)
     with pytest.raises(FloatingPointError, match="converge"):
         project_constraints_tensor(Tensor(np.full((2, 13), np.nan), requires_grad=True))
 

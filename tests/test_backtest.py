@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisp import backtest
 from crisp.allocation import PortfolioWeights, project_constraints
@@ -28,6 +30,9 @@ from crisp.objectives import MetricSet
 from crisp.spatial import build_prior, correlation_adjacency, normalize_adjacency
 from crisp.training import TrainConfig
 
+from conftest import DEFENSIVE_IDX
+from test_allocation import reference_projection
+
 
 @pytest.fixture(scope="module")
 def five_universe():
@@ -47,6 +52,48 @@ def trained_checkpoint(book, small_universe, prior):
     model, result = train_on_universe(small_universe, book, prior, windows[:12],
                                       ModelConfig(), cfg)
     return result.checkpoint
+
+
+@pytest.fixture(scope="module")
+def year_universe(book):
+    """13 assets with more than a 252-day lookback of history."""
+    return generate_synthetic(book.tickers(), 300, seed=11,
+                              defensive_indices=DEFENSIVE_IDX)
+
+
+def reference_mean_variance_weights(universe, end, risk_aversion, lookback):
+    """The plain mean-variance loop, nothing hoisted: ``mean_variance``'s bitwise oracle."""
+    n = universe.n_assets
+    hist = universe.returns[:, end + 1 - lookback:end + 1]
+    mu = hist.mean(axis=1)
+    sigma = np.cov(hist) + 1e-6 * np.eye(n)
+    w = np.full(n, 1.0 / n)
+    for _ in range(500):
+        grad = mu - 2.0 * risk_aversion * (sigma @ w)
+        w = reference_projection(w + 0.01 * grad)
+    return w
+
+
+def reference_risk_parity_weights(cov):
+    """Risk parity on numpy scalars, nothing hoisted: ``risk_parity_weights``' bitwise oracle."""
+    c = np.asarray(cov, dtype=np.float64)
+    n = c.shape[0]
+    diag = np.diag(c)
+    if (diag <= 0.0).any():
+        raise ValueError("risk parity needs strictly positive variances")
+    y = 1.0 / np.sqrt(diag * n)
+    for _ in range(10000):
+        y_prev = y.copy()
+        for i in range(n):
+            resid = c[i] @ y - c[i, i] * y[i]
+            y[i] = (-resid + np.sqrt(resid * resid + 4.0 * c[i, i] / n)) / (2.0 * c[i, i])
+        w = y / y.sum()
+        contrib = w * (c @ w)
+        if contrib.max() - contrib.min() <= 1e-8 * contrib.max():
+            return w
+        if np.abs(y - y_prev).max() < 1e-15:
+            break
+    return y / y.sum()
 
 
 def constant_strategy(weights):
@@ -142,11 +189,86 @@ def test_mean_variance_short_history_falls_back(five_universe, five_windows):
     assert "lookback" in strat.fallback_events[0]
 
 
+@pytest.mark.parametrize("lookback, market", [(60, "five"), (252, "year")])
+def test_mean_variance_matches_the_reference_bitwise(lookback, market, five_universe,
+                                                     year_universe):
+    universe = five_universe if market == "five" else year_universe
+    n = universe.n_assets
+    ends = np.linspace(lookback - 1, universe.n_return_days - 6, 4).astype(int)
+    for risk_aversion in (1.0, 3.5):
+        strat = mean_variance(risk_aversion=risk_aversion, lookback=lookback)
+        for end in ends:
+            got = strat.weight_fn(universe, int(end), np.full(n, 1.0 / n)).weights
+            want = reference_mean_variance_weights(universe, int(end), risk_aversion,
+                                                   lookback)
+            assert np.array_equal(got, want)
+    assert strat.fallback_events == []
+
+
+def test_baselines_project_a_fixed_number_of_times(monkeypatch, year_universe):
+    # the bench's allocation.project span counts these calls: (0 + 500 + 1) / 3
+    # rules = 167 per baselines rebalance
+    calls = []
+
+    def counting(w):
+        calls.append(1)
+        return project_constraints(w)
+
+    monkeypatch.setattr(backtest, "project_constraints", counting)
+    end, n = 280, year_universe.n_assets
+    counts = []
+    for strat in (equal_weight(), mean_variance(), risk_parity()):
+        calls.clear()
+        strat.weight_fn(year_universe, end, np.full(n, 1.0 / n))
+        counts.append(len(calls))
+    assert counts == [0, 500, 1]
+    assert sum(counts) / 3 == 167
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mean_variance(lookback=-5), "lookback must be >= 2 days, got -5"),
+    (lambda: mean_variance(lookback=1), "lookback must be >= 2 days, got 1"),
+    (lambda: mean_variance(risk_aversion=-1.0), "risk_aversion must be finite and >= 0"),
+    (lambda: mean_variance(risk_aversion=float("nan")), "got nan"),
+    (lambda: mean_variance(risk_aversion=float("inf")), "got inf"),
+    (lambda: risk_parity(lookback=1), "lookback must be >= 2 days, got 1"),
+    (lambda: risk_parity(lookback=0), "lookback must be >= 2 days, got 0"),
+], ids=["mv_lookback_negative", "mv_lookback_one", "mv_aversion_negative",
+        "mv_aversion_nan", "mv_aversion_inf", "rp_lookback_one", "rp_lookback_zero"])
+def test_baselines_reject_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_baselines_accept_the_smallest_parameters(five_universe, five_windows):
+    # two days of history and a zero risk aversion are valid, if odd, rules
+    end = five_windows[-1].end
+    for strat in (mean_variance(risk_aversion=0.0, lookback=2), risk_parity(lookback=2)):
+        strat.weight_fn(five_universe, end, np.full(5, 0.2)).validate()
+
+
 def test_risk_parity_two_asset_closed_form():
     # independent assets with vol 0.1 and 0.2: weights 2/3, 1/3
     cov = np.diag([0.01, 0.04])
     w = risk_parity_weights(cov)
     assert np.allclose(w, [2.0 / 3.0, 1.0 / 3.0], atol=1e-6)
+    assert np.array_equal(w, reference_risk_parity_weights(cov))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1e-6, 1e-3, 1.0]))
+def test_risk_parity_matches_the_reference_bitwise(n, seed, scale):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, n))
+    cov = scale * (a @ a.T / n + 0.05 * np.eye(n))
+    assert np.array_equal(risk_parity_weights(cov), reference_risk_parity_weights(cov))
+
+
+def test_risk_parity_matches_the_reference_on_market_covariances(year_universe):
+    for end in range(251, year_universe.n_return_days - 5, 5):
+        cov = np.cov(year_universe.returns[:, end - 251:end + 1])
+        assert np.array_equal(risk_parity_weights(cov), reference_risk_parity_weights(cov))
 
 
 def test_risk_parity_equalizes_contributions(rng):

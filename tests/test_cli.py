@@ -203,10 +203,18 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ("synthetic", "crisis_vol", -1, "crisis_vol must be positive, got -1.0"),
     ("synthetic", "days", 1, "need at least 2 days, got 1"),
     ("synthetic", "defensive_indices", 40, "defensive index 40 out of range for 13 tickers"),
-], ids=["clip_norm", "gat_heads", "crisis_vol", "days", "defensive_indices"])
+    ("backtest", "mv_lookback", -5, "mean_variance: lookback must be >= 2 days, got -5"),
+    ("backtest", "rp_lookback", 1, "risk_parity: lookback must be >= 2 days, got 1"),
+    ("backtest", "mv_risk_aversion", -1.0,
+     "mean_variance: risk_aversion must be finite and >= 0, got -1.0"),
+    ("backtest", "mv_risk_aversion", "nan",
+     "mean_variance: risk_aversion must be finite and >= 0, got nan"),
+], ids=["clip_norm", "gat_heads", "crisis_vol", "days", "defensive_indices",
+        "mv_lookback", "rp_lookback", "mv_risk_aversion", "mv_risk_aversion_nan"])
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, section, key,
                                                      value, message):
-    # the dataclasses are built before any data work, so no output appears
+    # the dataclasses and baselines are built before any data work, so no
+    # output appears
     cfg = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     for command in ("synth", "train", "backtest", "ablate"):
         out = tmp_path / command
