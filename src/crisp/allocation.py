@@ -58,6 +58,8 @@ class PortfolioWeights:
 
     weights: np.ndarray
     as_of_date: str = ""
+    attention: np.ndarray | None = None     # (heads, N, N) alphas behind the weights
+    fallback: str | None = None             # what the rule substituted, and why
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)

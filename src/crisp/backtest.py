@@ -1,10 +1,12 @@
 """Weekly-rebalanced out-of-sample evaluation, baselines and ablations.
 
 A strategy maps (universe, rebalance index, previous weights) to feasible
-portfolio weights using only data up to the rebalance index.  The
-backtester walks the non-overlapping 5-day test windows sequentially,
-holds each weight vector fixed for its period, concatenates the daily
-returns and computes metrics once over the whole series.  Strategies that
+portfolio weights using only data up to the rebalance index; the weights
+carry the text of any fallback the rule took and the attention alphas
+behind them.  The backtester walks the non-overlapping 5-day test windows
+sequentially, holds each weight vector fixed for its period, concatenates
+the daily returns and computes metrics once over the whole series.  It
+records each run's fallback events and attention afresh.  Strategies that
 emit infeasible weights fall back to equal weight for that period; the
 event is counted and flagged.
 
@@ -29,7 +31,7 @@ from .graphattn import AttentionRecord
 from .model import CrispModel, ModelConfig
 from .objectives import LossWeights, MetricSet, metrics
 from .spatial import PriorGraph, correlation_adjacency, normalize_adjacency
-from .training import Checkpoint, TrainConfig, train
+from .training import Checkpoint, TrainConfig, TrainResult, train
 from .universe import AssetBook
 
 __all__ = [
@@ -62,7 +64,6 @@ class Strategy:
 
     name: str
     weight_fn: Callable[[Universe, int, np.ndarray], PortfolioWeights]
-    attention_log: list[AttentionRecord] | None = None
     fallback_events: list[str] = field(default_factory=list)
 
 
@@ -113,18 +114,24 @@ def run_backtest(strategy: Strategy, universe: Universe,
     turnovers: list[float] = []
     daily: list[np.ndarray] = []
     dates: list[str] = []
+    records: list[AttentionRecord] = []
+    strategy.fallback_events = events = []      # this run's events only
     infeasible = 0
 
     for w in test_windows:
         try:
             pw = strategy.weight_fn(universe, w.end, prev.copy())
-            problem = None if pw.is_feasible() else "infeasible weights"
         except FloatingPointError as exc:      # e.g. NaN scores met the projection
             problem = f"infeasible weights ({exc})"
+        else:
+            if pw.fallback is not None:
+                events.append(pw.fallback)
+            if pw.attention is not None:
+                records.append(AttentionRecord.from_alphas(w.end_date, pw.attention))
+            problem = None if pw.is_feasible() else "infeasible weights"
         if problem is not None:
             infeasible += 1
-            strategy.fallback_events.append(
-                f"{w.end_date}: {problem} replaced by equal weight")
+            events.append(f"{w.end_date}: {problem} replaced by equal weight")
             pw = PortfolioWeights(np.full(n, 1.0 / n), as_of_date=w.end_date)
         if not pw.as_of_date:
             pw.as_of_date = w.end_date
@@ -145,7 +152,7 @@ def run_backtest(strategy: Strategy, universe: Universe,
         rebalance_dates=[w.end_date for w in test_windows],
         metric_set=metrics(series, avg_turnover=float(np.mean(turnovers))),
         infeasible_periods=infeasible,
-        attention=strategy.attention_log,
+        attention=records or None,
     )
 
 
@@ -173,15 +180,13 @@ def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
     _check_lookback(lookback)
     if not (math.isfinite(risk_aversion) and risk_aversion >= 0.0):
         raise ValueError(f"risk_aversion must be finite and >= 0, got {risk_aversion}")
-    strat = Strategy("Mean-Variance", None)
     variance_weight = 2.0 * risk_aversion
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
         n = universe.n_assets
         if end + 1 < lookback:
-            strat.fallback_events.append(
-                f"index {end}: {end + 1} days < {lookback}-day lookback, equal weight used")
-            return PortfolioWeights(np.full(n, 1.0 / n))
+            return PortfolioWeights(np.full(n, 1.0 / n), fallback=(
+                f"index {end}: {end + 1} days < {lookback}-day lookback, equal weight used"))
         hist = universe.returns[:, end + 1 - lookback:end + 1]
         mu = hist.mean(axis=1)
         sigma = np.cov(hist) + 1e-6 * np.eye(n)
@@ -191,8 +196,7 @@ def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
             w = project_constraints(w + _MV_STEP_SIZE * grad)
         return PortfolioWeights(w)
 
-    strat.weight_fn = fn
-    return strat
+    return Strategy("Mean-Variance", fn)
 
 
 def risk_parity_weights(cov: np.ndarray) -> np.ndarray:
@@ -227,26 +231,28 @@ def risk_parity_weights(cov: np.ndarray) -> np.ndarray:
 
 
 def risk_parity(lookback: int = 252) -> Strategy:
-    """Projected equal-risk-contribution weights; a lookback below 2 raises."""
+    """Projected equal-risk-contribution weights; a lookback below 2 raises.
+
+    ``take`` days give a covariance of rank at most ``take - 1``, so a
+    history of no more days than assets falls back to equal weight.
+    """
     _check_lookback(lookback)
-    strat = Strategy("Risk Parity", None)
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
         n = universe.n_assets
         take = min(lookback, end + 1)
-        if take < 2:
-            strat.fallback_events.append(f"index {end}: too little history, equal weight")
-            return PortfolioWeights(np.full(n, 1.0 / n))
+        if take <= n:
+            return PortfolioWeights(np.full(n, 1.0 / n),
+                                    fallback=f"index {end}: too little history, equal weight")
         hist = universe.returns[:, end + 1 - take:end + 1]
         cov = np.cov(hist)
         if (np.diag(cov) <= 0.0).any():
-            strat.fallback_events.append(f"index {end}: degenerate variance, equal weight")
-            return PortfolioWeights(np.full(n, 1.0 / n))
+            return PortfolioWeights(np.full(n, 1.0 / n),
+                                    fallback=f"index {end}: degenerate variance, equal weight")
         w = risk_parity_weights(cov)
         return PortfolioWeights(project_constraints(w))
 
-    strat.weight_fn = fn
-    return strat
+    return Strategy("Risk Parity", fn)
 
 
 def random_selection(seed: int = 0) -> Strategy:
@@ -255,15 +261,12 @@ def random_selection(seed: int = 0) -> Strategy:
     Seeding by (seed, index) keeps each date's draw independent of how many
     times or in what order the rule is queried.
     """
-    strat = Strategy("Random Selection", None)
-
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
         rng = np.random.default_rng([seed, end])
         scores = rng.standard_normal(universe.n_assets)
         return score_to_weights(scores)
 
-    strat.weight_fn = fn
-    return strat
+    return Strategy("Random Selection", fn)
 
 
 # -- model-backed strategies --------------------------------------------------
@@ -300,7 +303,7 @@ def static_adjacency_at(universe: Universe, end: int,
 def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
                       train_windows: list[Window], model_config: ModelConfig,
                       train_config: TrainConfig,
-                      loss_weights: LossWeights | None = None):
+                      loss_weights: LossWeights | None = None) -> TrainResult:
     """Feature-attach, optionally build static graphs, and run the trainer."""
     defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
     attach_features(universe, train_windows, defensive)
@@ -310,10 +313,8 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
         static = np.stack([static_adjacency_at(universe, w.end)[0]
                            for w in train_windows])
 
-    model = CrispModel(model_config)
-    result = train(model, train_windows, prior.normalized, train_config,
-                   loss_weights, static_adjacencies=static)
-    return model, result
+    return train(CrispModel(model_config), train_windows, prior.normalized,
+                 train_config, loss_weights, static_adjacencies=static)
 
 
 def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
@@ -324,7 +325,6 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
     normalizer = checkpoint.feature_normalizer()
     columns = feature_columns(checkpoint.model_config.n_features)
     window = checkpoint.model_config.window
-    strat = Strategy(name, None, attention_log=[] if not checkpoint.model_config.static_graph else None)
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
         start = end - window + 1
@@ -335,20 +335,16 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
         if columns is not None:
             feats = feats[:, :, columns]
         feats = normalizer.transform(feats)
-        static = None
+        static, note = None, None
         if checkpoint.model_config.static_graph:
             static, empty = static_adjacency_at(universe, end)
             if empty:
-                strat.fallback_events.append(
-                    f"index {end}: empty correlation graph, identity adjacency used")
+                note = f"index {end}: empty correlation graph, identity adjacency used"
         weights, attention = model.allocate(feats, prior.normalized, static)
-        if attention is not None and strat.attention_log is not None:
-            strat.attention_log.append(AttentionRecord.from_alphas(
-                universe.return_dates[end], attention))
-        return PortfolioWeights(weights, as_of_date=universe.return_dates[end])
+        return PortfolioWeights(weights, as_of_date=universe.return_dates[end],
+                                attention=attention, fallback=note)
 
-    strat.weight_fn = fn
-    return strat
+    return Strategy(name, fn)
 
 
 # -- ablation harness ---------------------------------------------------------
@@ -393,9 +389,8 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
         if name == _RANDOM_ROW:
             strat = random_selection(seed=train_config.seed)
         else:
-            _, result = train_on_universe(
-                universe, book, prior, train_windows, configs[name],
-                train_config, loss_weights)
+            result = train_on_universe(universe, book, prior, train_windows,
+                                       configs[name], train_config, loss_weights)
             strat = crisp_strategy(result.checkpoint, prior, defensive, name=name)
         report = run_backtest(strat, universe, test_windows)
         rows.append((name, report.metric_set))

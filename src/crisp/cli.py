@@ -348,8 +348,8 @@ def cmd_train(args) -> int:
     train_windows, _, boundary = _plan_windows(cfg, universe)
     prior = _prior(book, universe)
 
-    _, result = train_on_universe(universe, book, prior, train_windows,
-                                  model_config, train_config, loss_weights)
+    result = train_on_universe(universe, book, prior, train_windows,
+                               model_config, train_config, loss_weights)
 
     out = _ensure_out(args.out)
     save_checkpoint(result.checkpoint, os.path.join(out, "checkpoint.bin"))

@@ -84,10 +84,9 @@ def twin_runs(small_universe, book, prior, small_windows):
                       max_epochs=2, patience=3, val_fraction=0.2, seed=0)
     runs = []
     for _ in range(2):
-        _, result = train_on_universe(small_universe, book, prior,
+        runs.append(train_on_universe(small_universe, book, prior,
                                       _fresh(small_windows[:20]),
-                                      ModelConfig(init_seed=0), cfg)
-        runs.append(result)
+                                      ModelConfig(init_seed=0), cfg))
     return runs
 
 
@@ -532,12 +531,12 @@ def test_09_synthetic_end_to_end(book):
         # epoch 1 is bitwise-identical between the two runs, so comparing the
         # two selected checkpoints on the full training set reads "loss fell
         # from epoch 1 to the best epoch" without epoch-average noise
-        _, first = train_on_universe(u, book, prior, train,
-                                     ModelConfig(init_seed=seed),
-                                     TrainConfig(max_epochs=1, **kw))
-        _, full = train_on_universe(u, book, prior, train,
-                                    ModelConfig(init_seed=seed),
-                                    TrainConfig(max_epochs=10, **kw))
+        first = train_on_universe(u, book, prior, train,
+                                  ModelConfig(init_seed=seed),
+                                  TrainConfig(max_epochs=1, **kw))
+        full = train_on_universe(u, book, prior, train,
+                                 ModelConfig(init_seed=seed),
+                                 TrainConfig(max_epochs=10, **kw))
         l1 = eval_train_loss(first.checkpoint, train)
         lbest = eval_train_loss(full.checkpoint, train)
         a = lbest < l1

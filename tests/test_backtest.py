@@ -1,5 +1,7 @@
 """Backtester walk, classical baselines, and the model-backed strategy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from crisp.backtest import (
 )
 from crisp.data import generate_synthetic, make_windows
 from crisp.features import PAD, compute_features
-from crisp.model import ModelConfig
+from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import MetricSet
 from crisp.spatial import build_prior, correlation_adjacency, normalize_adjacency
 from crisp.training import TrainConfig
@@ -49,9 +51,8 @@ def trained_checkpoint(book, small_universe, prior):
     windows = make_windows(small_universe, 20, 5, 5)
     cfg = TrainConfig(learning_rate=5e-4, lr_min=5e-4, batch_size=6, max_epochs=2,
                       patience=5, val_fraction=0.2, seed=0)
-    model, result = train_on_universe(small_universe, book, prior, windows[:12],
-                                      ModelConfig(), cfg)
-    return result.checkpoint
+    return train_on_universe(small_universe, book, prior, windows[:12],
+                             ModelConfig(), cfg).checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,26 @@ def test_infeasible_weights_fall_back_to_equal(five_universe, five_windows):
     assert report.turnovers == pytest.approx([0.0, 0.0], abs=0)
 
 
+def test_a_second_run_starts_its_fallback_events_afresh(five_universe, five_windows):
+    bad = constant_strategy([1.0, 0.0, 0.0, 0.0, 0.0])
+    run_backtest(bad, five_universe, five_windows[-2:])
+    first_run = bad.fallback_events
+    run_backtest(bad, five_universe, five_windows[-2:])
+    assert len(bad.fallback_events) == 2
+    assert len(first_run) == 2
+
+
+def test_a_rules_note_precedes_the_engines_event(five_universe, five_windows):
+    noted = Strategy("Noted NaN", lambda universe, end, prev: PortfolioWeights(
+        np.full(5, np.nan), fallback="note"))
+    tail = five_windows[-1:]
+    report = run_backtest(noted, five_universe, tail)
+    assert noted.fallback_events == [
+        "note", f"{tail[0].end_date}: infeasible weights replaced by equal weight"]
+    assert report.infeasible_periods == 1
+    assert report.attention is None
+
+
 def test_nan_weights_fall_back_to_equal(five_universe, five_windows):
     # NaN weights returned as they are, and NaN projected: neither may
     # reach the metrics
@@ -185,8 +206,7 @@ def test_mean_variance_short_history_falls_back(five_universe, five_windows):
     strat = mean_variance(lookback=252)
     pw = strat.weight_fn(five_universe, five_windows[0].end, np.full(5, 0.2))
     assert np.array_equal(pw.weights, np.full(5, 0.2))
-    assert len(strat.fallback_events) == 1
-    assert "lookback" in strat.fallback_events[0]
+    assert "lookback" in pw.fallback
 
 
 @pytest.mark.parametrize("lookback, market", [(60, "five"), (252, "year")])
@@ -198,11 +218,11 @@ def test_mean_variance_matches_the_reference_bitwise(lookback, market, five_univ
     for risk_aversion in (1.0, 3.5):
         strat = mean_variance(risk_aversion=risk_aversion, lookback=lookback)
         for end in ends:
-            got = strat.weight_fn(universe, int(end), np.full(n, 1.0 / n)).weights
+            got = strat.weight_fn(universe, int(end), np.full(n, 1.0 / n))
             want = reference_mean_variance_weights(universe, int(end), risk_aversion,
                                                    lookback)
-            assert np.array_equal(got, want)
-    assert strat.fallback_events == []
+            assert np.array_equal(got.weights, want)
+            assert got.fallback is None
 
 
 def test_baselines_project_a_fixed_number_of_times(monkeypatch, year_universe):
@@ -294,7 +314,23 @@ def test_risk_parity_strategy_projects_and_falls_back(five_universe, five_window
 
     short = strat.weight_fn(five_universe, 0, np.full(5, 0.2))
     assert np.array_equal(short.weights, np.full(5, 0.2))
-    assert any("history" in e for e in strat.fallback_events)
+    assert "history" in short.fallback
+
+
+@pytest.mark.parametrize("lookback", [2, 3, 5])
+def test_risk_parity_falls_back_when_days_do_not_exceed_assets(five_universe, lookback):
+    # 5 assets over <= 5 days: a singular covariance, equal weight at once
+    pw = risk_parity(lookback=lookback).weight_fn(five_universe, 74, np.full(5, 0.2))
+    assert np.array_equal(pw.weights, np.full(5, 0.2))
+    assert pw.fallback == "index 74: too little history, equal weight"
+
+
+def test_risk_parity_with_more_days_than_assets_is_unchanged(five_universe):
+    pw = risk_parity(lookback=10).weight_fn(five_universe, 74, np.full(5, 0.2))
+    cov = np.cov(five_universe.returns[:, 65:75])
+    assert np.array_equal(pw.weights,
+                          reference_projection(reference_risk_parity_weights(cov)))
+    assert pw.fallback is None
 
 
 def test_random_selection_is_per_date_deterministic(five_universe):
@@ -356,6 +392,34 @@ def test_crisp_strategy_emits_feasible_weights_and_attention(
         assert rec.per_head.shape == (4, 13, 13)
         assert np.allclose(rec.per_head.sum(axis=-1), 1.0, atol=1e-9)
     assert [rec.window_end_date for rec in report.attention] == report.rebalance_dates
+
+
+def test_crisp_strategy_run_twice_gives_each_report_its_own_attention(
+        trained_checkpoint, small_universe, book, prior):
+    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    strat = crisp_strategy(trained_checkpoint, prior, defensive)
+    windows = make_windows(small_universe, 20, 5, 5)[-3:]
+    first = run_backtest(strat, small_universe, windows)
+    second = run_backtest(strat, small_universe, windows)
+    assert len(first.attention) == 3 and len(second.attention) == 3
+    for a, b in zip(first.attention, second.attention):
+        assert np.array_equal(a.per_head, b.per_head)
+
+
+def test_static_graph_strategy_notes_an_empty_graph_without_attention(
+        trained_checkpoint, small_universe, book, prior, monkeypatch):
+    monkeypatch.setattr(backtest, "static_adjacency_at",
+                        lambda universe, end: (np.eye(universe.n_assets), True))
+    config = replace(trained_checkpoint.model_config, static_graph=True)
+    static = replace(trained_checkpoint, model_config=config,
+                     best_params=CrispModel(config).state())
+    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    strat = crisp_strategy(static, prior, defensive)
+    windows = make_windows(small_universe, 20, 5, 5)[-2:]
+    report = run_backtest(strat, small_universe, windows)
+    assert report.attention is None
+    assert strat.fallback_events == [
+        f"index {w.end}: empty correlation graph, identity adjacency used" for w in windows]
 
 
 def test_crisp_strategy_rejects_early_window(trained_checkpoint, small_universe,

@@ -299,9 +299,8 @@ def test_trained_checkpoint_allocates_as_the_float64_forward(book, small_univers
     windows = make_windows(small_universe, 20, 5, 5)[:12]
     cfg = TrainConfig(learning_rate=5e-4, lr_min=5e-4, batch_size=6, max_epochs=2,
                       patience=5, val_fraction=0.2, seed=0)
-    _, result = backtest.train_on_universe(small_universe, book, prior, windows,
-                                           ModelConfig(), cfg)
-    ck = result.checkpoint
+    ck = backtest.train_on_universe(small_universe, book, prior, windows,
+                                    ModelConfig(), cfg).checkpoint
     model = CrispModel(ck.model_config)
     model.load_state(ck.best_params)
     normalizer = ck.feature_normalizer()
