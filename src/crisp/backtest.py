@@ -24,7 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .allocation import PortfolioWeights, project_constraints, score_to_weights
+from .allocation import (
+    WEIGHT_CAP,
+    WEIGHT_FLOOR,
+    PortfolioWeights,
+    project_constraints,
+    score_to_weights,
+)
 from .data import Universe, Window
 from .features import CRISIS_FEATURES, N_FEATURES, PAD, compute_features, feature_columns
 from .graphattn import AttentionRecord
@@ -44,6 +50,7 @@ __all__ = [
     "crisp_strategy",
     "equal_weight",
     "mean_variance",
+    "mean_variance_weights",
     "random_selection",
     "risk_parity",
     "risk_parity_weights",
@@ -54,7 +61,6 @@ __all__ = [
 
 CORR_LOOKBACK = 252
 CORR_THRESHOLD = 0.5
-_MV_STEPS, _MV_STEP_SIZE = 500, 0.01
 _RP_TOL, _RP_MAX_SWEEPS = 1e-8, 10000
 
 
@@ -172,15 +178,16 @@ def _check_lookback(lookback: int) -> None:
 
 
 def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
-    """Markowitz utility maximized by projected gradient ascent (500 steps of 0.01).
+    """Markowitz weights: the exact maximizer from ``mean_variance_weights``.
 
+    The trailing ``lookback`` days give the mean and the sample covariance,
+    plus 1e-6 on its diagonal; fewer days fall back to equal weight.
     Raises ``ValueError`` for a lookback below 2 days or a risk aversion that
     is negative or not finite.
     """
     _check_lookback(lookback)
     if not (math.isfinite(risk_aversion) and risk_aversion >= 0.0):
         raise ValueError(f"risk_aversion must be finite and >= 0, got {risk_aversion}")
-    variance_weight = 2.0 * risk_aversion
 
     def fn(universe: Universe, end: int, prev: np.ndarray) -> PortfolioWeights:
         n = universe.n_assets
@@ -188,15 +195,89 @@ def mean_variance(risk_aversion: float = 1.0, lookback: int = 252) -> Strategy:
             return PortfolioWeights(np.full(n, 1.0 / n), fallback=(
                 f"index {end}: {end + 1} days < {lookback}-day lookback, equal weight used"))
         hist = universe.returns[:, end + 1 - lookback:end + 1]
-        mu = hist.mean(axis=1)
         sigma = np.cov(hist) + 1e-6 * np.eye(n)
-        w = np.full(n, 1.0 / n)
-        for _ in range(_MV_STEPS):
-            grad = mu - variance_weight * (sigma @ w)
-            w = project_constraints(w + _MV_STEP_SIZE * grad)
-        return PortfolioWeights(w)
+        return PortfolioWeights(mean_variance_weights(hist.mean(axis=1), sigma,
+                                                      risk_aversion))
 
     return Strategy("Mean-Variance", fn)
+
+
+def mean_variance_weights(mu: np.ndarray, sigma: np.ndarray,
+                          risk_aversion: float) -> np.ndarray:
+    """Exact maximizer of mu'w - risk_aversion w'Sw on the feasible set.
+
+    The set is { sum w = 1, 0.02 <= w_i <= 0.25 }, and ``sigma`` must be
+    symmetric positive definite.  A primal active-set method (Nocedal &
+    Wright, *Numerical Optimization*, ch. 16) starts from equal weight.
+    Each iteration solves the KKT system of the free coordinates for the
+    best step that keeps the pinned ones fixed, and a ratio test pins the
+    first bound that step would cross.  At the best point of a working set
+    the free coordinates share one gradient value c, the budget multiplier.
+    A floor coordinate whose gradient lies above c, or a cap coordinate
+    whose gradient lies below it, has a wrong-signed multiplier, and the
+    worst such coordinate is released; when none is left the point is
+    optimal.  No end within 5 n iterations raises ``FloatingPointError``.
+
+    A zero risk aversion leaves a linear program.  Its optimum puts every
+    asset at the floor, then raises assets to the cap in stable descending
+    ``mu`` order until the budget is spent.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    n = mu.size
+    lo, hi = WEIGHT_FLOOR, WEIGHT_CAP
+    if n * lo >= 1.0 or n * hi <= 1.0:      # the set is the point 1/n, or empty
+        return np.full(n, 1.0 / n)
+    if risk_aversion == 0.0:
+        w = np.full(n, lo)
+        budget = 1.0 - n * lo
+        for i in np.argsort(-mu, kind="stable"):
+            if budget <= 0.0:
+                break
+            w[i] += min(hi - lo, budget)
+            budget -= hi - lo
+        return w
+
+    hess = 2.0 * risk_aversion * np.asarray(sigma, dtype=np.float64)
+    # a multiplier counts as wrong-signed only beyond the gradient's rounding
+    tol = 1e-12 * (np.abs(mu).max() + np.abs(hess).max())
+    w = np.full(n, 1.0 / n)
+    side = np.zeros(n, dtype=np.int64)     # -1 pinned at the floor, +1 at the cap
+    for _ in range(5 * n):
+        # never empty: one free coordinate cannot move, so nothing pins it
+        free = np.flatnonzero(side == 0)
+        k = free.size
+        # maximize d'p - p'Hp/2 over steps p with p_F summing to 0 and the
+        # pinned coordinates fixed: H_FF p_F + c 1 = d_F, 1'p_F = 0
+        grad = mu - hess @ w
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = hess[np.ix_(free, free)]
+        kkt[k, k] = 0.0
+        rhs = np.append(grad[free], 0.0)
+        solution = np.linalg.solve(kkt, rhs)
+        step, c = solution[:k], solution[k]
+
+        wf = w[free]
+        ratios = np.full(k, np.inf)
+        up, down = step > 0.0, step < 0.0
+        ratios[up] = (hi - wf[up]) / step[up]
+        ratios[down] = (lo - wf[down]) / step[down]
+        j = int(ratios.argmin())
+        if ratios[j] < 1.0:
+            # a coordinate a rounding past its bound has a negative ratio
+            w[free] = wf + max(ratios[j], 0.0) * step
+            w[free[j]] = hi if step[j] > 0.0 else lo
+            side[free[j]] = 1 if step[j] > 0.0 else -1
+            continue
+
+        w[free] = wf + step
+        # how far each pinned gradient lies on the wrong side of c (free: 0)
+        wrong = side * (c - (mu - hess @ w))
+        i = int(wrong.argmax())
+        if wrong[i] <= tol:
+            return w
+        side[i] = 0
+    raise FloatingPointError(
+        f"mean-variance active set did not terminate in {5 * n} iterations")
 
 
 def risk_parity_weights(cov: np.ndarray) -> np.ndarray:

@@ -425,6 +425,7 @@ def cmd_backtest(args) -> int:
         entry = asdict(report.metric_set)
         entry["infeasible_periods"] = report.infeasible_periods
         entry["fallback_events"] = len(strat.fallback_events)
+        entry["fallback_texts"] = list(strat.fallback_events)
         summary["strategies"][report.strategy] = entry
         if report.attention:
             mask = np.array(book.defensive_mask(universe.tickers), dtype=bool)

@@ -44,6 +44,7 @@ from crisp.backtest import (
     crisp_strategy,
     equal_weight,
     mean_variance,
+    mean_variance_weights,
     random_selection,
     risk_parity,
     risk_parity_weights,
@@ -605,6 +606,19 @@ def test_11_baseline_closed_forms(small_universe, small_windows):
     exact = bool((ew.weights == 1.0 / 13).all())
     assert exact
 
+    # a diagonal market where no bound binds: w = S^-1 (mu - nu 1) / (2 lambda),
+    # with nu spending the budget
+    variances = np.array([0.04, 0.05, 0.06, 0.05, 0.04])
+    mu = np.array([0.010, 0.012, 0.014, 0.006, 0.002])
+    risk_aversion = 2.0
+    nu = ((mu / variances).sum() - 2.0 * risk_aversion) / (1.0 / variances).sum()
+    closed = (mu - nu) / (2.0 * risk_aversion * variances)
+    assert (closed > 0.02).all() and (closed < 0.25).all()
+    mv = mean_variance_weights(mu, np.diag(variances), risk_aversion)
+    mv_dev = float(np.abs(mv - closed).max())
+    assert mv_dev <= 1e-12
+
     _line(11, "baseline closed forms", True,
-          f"risk parity on diag(0.01, 0.04) off by {rp_dev:.2e}; equal weight "
+          f"risk parity on diag(0.01, 0.04) off by {rp_dev:.2e}; mean-variance on "
+          f"a 5-asset diagonal market off by {mv_dev:.2e}; equal weight "
           f"is exactly 1/13 per asset")

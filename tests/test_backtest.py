@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crisp import backtest
-from crisp.allocation import PortfolioWeights, project_constraints
+from crisp.allocation import WEIGHT_CAP, WEIGHT_FLOOR, PortfolioWeights, project_constraints
 from crisp.backtest import (
     ABLATION_NAMES,
     BacktestReport,
@@ -18,6 +18,7 @@ from crisp.backtest import (
     crisp_strategy,
     equal_weight,
     mean_variance,
+    mean_variance_weights,
     random_selection,
     risk_parity,
     risk_parity_weights,
@@ -62,17 +63,86 @@ def year_universe(book):
                               defensive_indices=DEFENSIVE_IDX)
 
 
-def reference_mean_variance_weights(universe, end, risk_aversion, lookback):
-    """The plain mean-variance loop, nothing hoisted: ``mean_variance``'s bitwise oracle."""
-    n = universe.n_assets
+def utility(w, mu, sigma, risk_aversion):
+    return mu @ w - risk_aversion * w @ sigma @ w
+
+
+def market_moments(universe, end, lookback):
+    """The trailing mean and ridged covariance, as ``mean_variance`` builds them."""
     hist = universe.returns[:, end + 1 - lookback:end + 1]
-    mu = hist.mean(axis=1)
-    sigma = np.cov(hist) + 1e-6 * np.eye(n)
-    w = np.full(n, 1.0 / n)
+    return hist.mean(axis=1), np.cov(hist) + 1e-6 * np.eye(universe.n_assets)
+
+
+def projected_gradient_mean_variance(universe, end, risk_aversion, lookback):
+    """The 500 projected-gradient steps of 0.01 ``mean_variance`` took before its exact solve."""
+    mu, sigma = market_moments(universe, end, lookback)
+    w = np.full(universe.n_assets, 1.0 / universe.n_assets)
     for _ in range(500):
         grad = mu - 2.0 * risk_aversion * (sigma @ w)
         w = reference_projection(w + 0.01 * grad)
     return w
+
+
+def bisection_projection(v):
+    """Euclidean projection onto the feasible set: clip(v - tau) summing to 1, tau by bisection."""
+    lo, hi = v.min() - WEIGHT_CAP, v.max() - WEIGHT_FLOOR
+    for _ in range(100):
+        tau = 0.5 * (lo + hi)
+        if np.clip(v - tau, WEIGHT_FLOOR, WEIGHT_CAP).sum() > 1.0:
+            lo = tau
+        else:
+            hi = tau
+    return np.clip(v - 0.5 * (lo + hi), WEIGHT_FLOOR, WEIGHT_CAP)
+
+
+def reference_mean_variance_weights(mu, sigma, risk_aversion):
+    """Slow oracle for ``mean_variance_weights``: accelerated projected gradient.
+
+    FISTA with step 1/L and a gradient restart, run until an iterate stops
+    moving.  A zero risk aversion takes one step of 1e6 / max|mu|, whose
+    projection is the linear program's vertex when the means are distinct.
+    """
+    n = mu.size
+    hess = 2.0 * risk_aversion * sigma
+    top = np.linalg.eigvalsh(hess).max()
+    step = 1.0 / top if top > 0.0 else 1e6 / np.abs(mu).max()
+    w = y = np.full(n, 1.0 / n)
+    t = 1.0
+    for _ in range(20000):
+        w_next = bisection_projection(y + step * (mu - hess @ y))
+        if (y - w_next) @ (w_next - w) > 0.0:
+            t, y = 1.0, w_next
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = w_next + (t - 1.0) / t_next * (w_next - w)
+            t = t_next
+        if np.abs(w_next - w).max() < 1e-16:
+            return w_next
+        w = w_next
+    raise AssertionError("reference did not settle")
+
+
+def assert_kkt(w, mu, sigma, risk_aversion, rtol=1e-10):
+    """Feasible, and optimal by the KKT conditions of max mu'w - ra w'Sw.
+
+    The free coordinates share one gradient value c; floor coordinates sit
+    at or below it and cap coordinates at or above it, each within ``rtol``
+    of the gradient's scale max|mu| + max|2 ra S|.
+    """
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert (w >= WEIGHT_FLOOR - 1e-15).all() and (w <= WEIGHT_CAP + 1e-15).all()
+    grad = mu - 2.0 * risk_aversion * sigma @ w
+    tol = rtol * (np.abs(mu).max() + np.abs(2.0 * risk_aversion * sigma).max())
+    floor = w <= WEIGHT_FLOOR + 1e-12
+    cap = w >= WEIGHT_CAP - 1e-12
+    free = ~(floor | cap)
+    if free.any():
+        c = grad[free].mean()
+        assert np.abs(grad[free] - c).max() <= tol
+    else:       # every coordinate at a bound: c lies anywhere between the two sides
+        c = grad[floor].max() if floor.any() else grad[cap].min()
+    assert (grad[floor] <= c + tol).all()
+    assert (grad[cap] >= c - tol).all()
 
 
 def reference_risk_parity_weights(cov):
@@ -191,15 +261,9 @@ def test_mean_variance_improves_utility(five_universe, five_windows):
     end = five_windows[-1].end
     pw = strat.weight_fn(five_universe, end, np.full(5, 0.2))
     pw.validate()
-
-    hist = five_universe.returns[:, end + 1 - 60:end + 1]
-    mu = hist.mean(axis=1)
-    sigma = np.cov(hist) + 1e-6 * np.eye(5)
-
-    def utility(w):
-        return mu @ w - 1.0 * w @ sigma @ w
-
-    assert utility(pw.weights) >= utility(np.full(5, 0.2)) - 1e-12
+    mu, sigma = market_moments(five_universe, end, 60)
+    assert (utility(pw.weights, mu, sigma, 1.0)
+            >= utility(np.full(5, 0.2), mu, sigma, 1.0) - 1e-12)
 
 
 def test_mean_variance_short_history_falls_back(five_universe, five_windows):
@@ -209,25 +273,86 @@ def test_mean_variance_short_history_falls_back(five_universe, five_windows):
     assert "lookback" in pw.fallback
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=4, max_value=40), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1e-6, 1e-3, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 3.5]))
+def test_mean_variance_weights_meet_kkt_and_match_the_reference(n, seed, scale,
+                                                                risk_aversion):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, n))
+    sigma = scale * (a @ a.T / n + 0.05 * np.eye(n))
+    mu = np.sqrt(scale) * 0.1 * gen.standard_normal(n)
+    w = mean_variance_weights(mu, sigma, risk_aversion)
+    assert_kkt(w, mu, sigma, risk_aversion)
+    want = reference_mean_variance_weights(mu, sigma, risk_aversion)
+    assert np.abs(w - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize("risk_aversion", [0.0, 0.5, 1.0, 3.5])
+def test_mean_variance_matches_the_reference_on_market_covariances(year_universe,
+                                                                   risk_aversion):
+    strat = mean_variance(risk_aversion=risk_aversion, lookback=252)
+    n = year_universe.n_assets
+    for end in range(251, year_universe.n_return_days - 5, 5):
+        got = strat.weight_fn(year_universe, end, np.full(n, 1.0 / n))
+        assert got.fallback is None
+        mu, sigma = market_moments(year_universe, end, 252)
+        assert_kkt(got.weights, mu, sigma, risk_aversion)
+        want = reference_mean_variance_weights(mu, sigma, risk_aversion)
+        assert np.abs(got.weights - want).max() <= 1e-8
+
+
 @pytest.mark.parametrize("lookback, market", [(60, "five"), (252, "year")])
-def test_mean_variance_matches_the_reference_bitwise(lookback, market, five_universe,
-                                                     year_universe):
+def test_mean_variance_beats_the_projected_gradient_loop(lookback, market, five_universe,
+                                                         year_universe):
     universe = five_universe if market == "five" else year_universe
     n = universe.n_assets
-    ends = np.linspace(lookback - 1, universe.n_return_days - 6, 4).astype(int)
     for risk_aversion in (1.0, 3.5):
         strat = mean_variance(risk_aversion=risk_aversion, lookback=lookback)
-        for end in ends:
-            got = strat.weight_fn(universe, int(end), np.full(n, 1.0 / n))
-            want = reference_mean_variance_weights(universe, int(end), risk_aversion,
-                                                   lookback)
-            assert np.array_equal(got.weights, want)
-            assert got.fallback is None
+        for end in range(lookback - 1, universe.n_return_days - 5, 5):
+            got = strat.weight_fn(universe, end, np.full(n, 1.0 / n)).weights
+            old = projected_gradient_mean_variance(universe, end, risk_aversion, lookback)
+            mu, sigma = market_moments(universe, end, lookback)
+            assert (utility(got, mu, sigma, risk_aversion)
+                    >= utility(old, mu, sigma, risk_aversion) - 1e-15)
+
+
+def test_mean_variance_zero_aversion_fills_the_highest_means_first():
+    # 13 assets: three at the cap, the fourth takes the 0.05 left, the rest
+    # stay at the floor; tied means fill in index order
+    mu = np.array([0.1, 0.3, 0.2, 0.3, 0.0, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3])
+    w = mean_variance_weights(mu, np.eye(13), 0.0)
+    want = np.full(13, WEIGHT_FLOOR)
+    want[[1, 3, 12]] = WEIGHT_CAP
+    want[2] = WEIGHT_FLOOR + 0.05
+    assert np.allclose(w, want, atol=1e-15, rtol=0)
+
+
+@pytest.mark.parametrize("n", [4, 50])
+def test_mean_variance_on_a_single_point_set_is_equal_weight(n):
+    mu = np.linspace(-1.0, 1.0, n)
+    for risk_aversion in (0.0, 1.0):
+        assert np.array_equal(mean_variance_weights(mu, np.eye(n), risk_aversion),
+                              np.full(n, 1.0 / n))
+
+
+def test_mean_variance_non_termination_falls_back_to_equal(five_universe, five_windows):
+    with pytest.raises(FloatingPointError, match="did not terminate in 25 iterations"):
+        mean_variance_weights(np.full(5, np.nan), np.eye(5), 1.0)
+    nan_means = Strategy("NaN Mean-Variance", lambda universe, end, prev: PortfolioWeights(
+        mean_variance_weights(np.full(5, np.nan), np.eye(5), 1.0)))
+    tail = five_windows[-1:]
+    report = run_backtest(nan_means, five_universe, tail)
+    assert report.infeasible_periods == 1
+    assert np.array_equal(report.weights[0].weights, np.full(5, 0.2))
+    assert nan_means.fallback_events == [
+        f"{tail[0].end_date}: infeasible weights (mean-variance active set did not "
+        f"terminate in 25 iterations) replaced by equal weight"]
 
 
 def test_baselines_project_a_fixed_number_of_times(monkeypatch, year_universe):
-    # the bench's allocation.project span counts these calls: (0 + 500 + 1) / 3
-    # rules = 167 per baselines rebalance
+    # the bench's allocation.project span counts these calls: (0 + 0 + 1) / 3
+    # rules = 1/3 per baselines rebalance; mean-variance solves, not projects
     calls = []
 
     def counting(w):
@@ -241,8 +366,7 @@ def test_baselines_project_a_fixed_number_of_times(monkeypatch, year_universe):
         calls.clear()
         strat.weight_fn(year_universe, end, np.full(n, 1.0 / n))
         counts.append(len(calls))
-    assert counts == [0, 500, 1]
-    assert sum(counts) / 3 == 167
+    assert counts == [0, 0, 1]
 
 
 @pytest.mark.parametrize("build, message", [

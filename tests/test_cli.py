@@ -311,7 +311,14 @@ def test_train_then_backtest_round_trip(tmp_path, capsys):
     for entry in summary["strategies"].values():
         assert set(entry) >= {"sharpe", "sortino", "max_drawdown",
                               "infeasible_periods"}
+        assert len(entry["fallback_texts"]) == entry["fallback_events"]
     assert summary["periods"] * 5 == summary["test_days"]
+    # 160 days hold no 252-day lookback: every mean-variance period says so
+    mv_texts = summary["strategies"]["Mean-Variance"]["fallback_texts"]
+    assert len(mv_texts) == summary["periods"]
+    assert all(text.endswith("days < 252-day lookback, equal weight used")
+               for text in mv_texts)
+    assert summary["strategies"]["Equal Weight"]["fallback_texts"] == []
     assert (bt_out / "equity_crisp.csv").is_file()
     assert (bt_out / "weights_equal_weight.csv").is_file()
     assert (bt_out / "attention_crisp.csv").is_file()
