@@ -371,13 +371,12 @@ def attach_features(universe: Universe, windows: list[Window],
                                           defensive_mask)
 
 
-def static_adjacency_at(universe: Universe, end: int,
-                        lookback: int = CORR_LOOKBACK,
-                        threshold: float = CORR_THRESHOLD) -> tuple[np.ndarray, bool]:
-    """Normalized trailing-correlation adjacency as of a return-day index."""
-    take = min(lookback, end + 1)
+def static_adjacency_at(universe: Universe, end: int) -> tuple[np.ndarray, bool]:
+    """Normalized trailing-correlation adjacency as of a return-day index:
+    correlations over up to ``CORR_LOOKBACK`` days, edges at ``CORR_THRESHOLD``."""
+    take = min(CORR_LOOKBACK, end + 1)
     hist = universe.returns[:, end + 1 - take:end + 1]
-    adj, empty = correlation_adjacency(hist, threshold)
+    adj, empty = correlation_adjacency(hist, CORR_THRESHOLD)
     return normalize_adjacency(adj), empty
 
 
@@ -386,7 +385,7 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
                       train_config: TrainConfig,
                       loss_weights: LossWeights | None = None) -> TrainResult:
     """Feature-attach, optionally build static graphs, and run the trainer."""
-    defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(universe.tickers)
     attach_features(universe, train_windows, defensive)
 
     static = None
@@ -462,7 +461,7 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
         if configs[first] == configs[second]:
             raise ValueError(f"ablation rows {first!r} and {second!r} build the same "
                              f"model under this base config")
-    defensive = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(universe.tickers)
     rows: list[tuple[str, MetricSet]] = []
     for name in [*configs, _RANDOM_ROW]:
         if only is not None and name not in only:

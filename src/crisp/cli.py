@@ -78,7 +78,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "days": ("int", 1500),
         "seed": ("int", 11),
         **_fields(RegimeConfig),
-        "defensive_indices": ("str", "auto"),    # auto | "" | comma list
     },
     # window comes from [data], n_assets from the universe
     "model": _fields(ModelConfig, skip=("n_assets", "window")),
@@ -199,22 +198,10 @@ def _load_book(cfg) -> AssetBook:
     path = cfg["data"]["universe_file"] or None
     if path is not None and not os.path.isfile(path):
         raise UsageError(f"universe file not found: {path}")
-    return load_asset_book(path)
-
-
-def _defensive_indices(cfg, book: AssetBook) -> list[int]:
-    raw = str(cfg["synthetic"]["defensive_indices"]).strip()
-    if raw == "auto":
-        mask = book.defensive_mask(book.tickers())
-        return [i for i, flag in enumerate(mask) if flag]
-    if raw == "":
-        return []
     try:
-        return [int(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise UsageError(
-            f"[synthetic] defensive_indices must be 'auto', blank, or a "
-            f"comma-separated index list; got {raw!r}") from None
+        return load_asset_book(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build(cls, section: str, cfg, **given):
@@ -251,9 +238,10 @@ def _build_universe(cfg, book: AssetBook, regime: RegimeConfig) -> Universe:
     source = cfg["data"]["source"]
     if source == "synthetic":
         s = cfg["synthetic"]
+        tickers = book.tickers()
+        defensive = np.flatnonzero(book.defensive_mask(tickers)).tolist()
         try:
-            return generate_synthetic(book.tickers(), s["days"], s["seed"],
-                                      regime, _defensive_indices(cfg, book))
+            return generate_synthetic(tickers, s["days"], s["seed"], regime, defensive)
         except ValueError as exc:       # raised on its arguments, before any draw
             raise UsageError(f"[synthetic] {exc}") from None
     if source == "csv":
@@ -389,8 +377,8 @@ def _build_strategies(cfg, book, universe, prior, checkpoint_path):
         elif ck is None:
             print("no checkpoint given; running baselines only")
         else:
-            mask = np.array(book.defensive_mask(universe.tickers), dtype=np.float64)
-            strategies.append(crisp_strategy(ck, prior, mask))
+            strategies.append(crisp_strategy(ck, prior,
+                                             book.defensive_mask(universe.tickers)))
     if not strategies:
         raise UsageError("no strategies left to run")
     return strategies
@@ -428,7 +416,7 @@ def cmd_backtest(args) -> int:
         entry["fallback_texts"] = list(strat.fallback_events)
         summary["strategies"][report.strategy] = entry
         if report.attention:
-            mask = np.array(book.defensive_mask(universe.tickers), dtype=bool)
+            mask = book.defensive_mask(universe.tickers)
             _write(os.path.join(out, f"attention_{slug}.csv"),
                    telemetry_csv(report.attention))
             _write(os.path.join(out, f"attention_summary_{slug}.json"),

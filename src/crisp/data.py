@@ -222,11 +222,13 @@ def generate_synthetic(tickers: list[str], days: int, seed: int,
     rng = np.random.default_rng(seed)
     leave = (cfg.p_calm_to_crisis, cfg.p_crisis_to_calm)   # by current state
 
-    regimes = np.empty(days, dtype=np.int64)
+    chain = []
     state = 0   # start calm
-    for t in range(days):
-        regimes[t] = state
-        state = 1 - state if rng.random() < leave[state] else state
+    for u in rng.random(days).tolist():     # one uniform per day, in order
+        chain.append(state)
+        if u < leave[state]:
+            state = 1 - state
+    regimes = np.array(chain, dtype=np.int64)
 
     mean = np.where(regimes == 0, cfg.calm_mean, cfg.crisis_mean)          # (D,)
     vol = np.where(regimes == 0, cfg.calm_vol, cfg.crisis_vol)             # (D,)

@@ -15,7 +15,11 @@ The diversification term follows the stated intent of encouraging
 diversification: L_Div = sum_i w_i ln w_i (negative entropy), minimized at
 uniform weights with value -ln N.  The turnover term rewards sum |dw| near
 the 2% target through a Gaussian kernel of width 0.01:
-L_Turn = -exp(-(turnover - 0.02)^2/0.01).
+L_Turn = -exp(-(turnover - 0.02)^2/0.01).  The CVaR piece averages the
+worst 5% of the pooled daily returns.  ``LossWeights`` holds the five blend
+weights; the 5% tail, the 2% target and the 0.01 width are the module
+constants ``CVAR_ALPHA``, ``TURNOVER_TARGET`` and ``TURNOVER_WIDTH``.  Like
+the metrics, the loss subtracts no risk-free rate.
 
 Evaluation metrics are plain numpy: annualization by sqrt(252), sample
 std (ddof=1), drawdown measured on the compounded equity curve starting
@@ -33,9 +37,12 @@ import numpy as np
 from .autodiff import Tensor, maximum
 
 __all__ = [
+    "CVAR_ALPHA",
     "EPS",
     "LossWeights",
     "MetricSet",
+    "TURNOVER_TARGET",
+    "TURNOVER_WIDTH",
     "loss_from_batch",
     "l_sharpe",
     "l_sortino",
@@ -47,6 +54,9 @@ __all__ = [
 
 EPS = 1e-8
 ANNUAL_DAYS = 252
+CVAR_ALPHA = 0.05
+TURNOVER_TARGET = 0.02
+TURNOVER_WIDTH = 0.01
 
 
 @dataclass
@@ -56,19 +66,11 @@ class LossWeights:
     risk: float = 0.3
     diversification: float = 0.05
     turnover: float = 0.05
-    risk_free_daily: float = 0.0
-    cvar_alpha: float = 0.05
-    turnover_target: float = 0.02
-    turnover_width: float = 0.01
 
     def __post_init__(self):
         for name in ("sharpe", "sortino", "risk", "diversification", "turnover"):
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be non-negative")
-        if not 0.0 < self.cvar_alpha <= 1.0:
-            raise ValueError(f"cvar_alpha must lie in (0, 1], got {self.cvar_alpha}")
-        if not self.turnover_width > 0.0:
-            raise ValueError(f"turnover_width must be positive, got {self.turnover_width}")
 
 
 # -- differentiable loss terms ------------------------------------------------
@@ -86,22 +88,20 @@ def _std0(r: Tensor) -> Tensor:
     return _safe_sqrt((centered * centered).mean())
 
 
-def l_sharpe(daily_returns: Tensor, risk_free: float = 0.0) -> Tensor:
+def l_sharpe(daily_returns: Tensor) -> Tensor:
     r = daily_returns
-    return -(r.mean() - risk_free) / (_std0(r) + EPS)
+    return -r.mean() / (_std0(r) + EPS)
 
 
-def l_sortino(daily_returns: Tensor, risk_free: float = 0.0) -> Tensor:
+def l_sortino(daily_returns: Tensor) -> Tensor:
     r = daily_returns
-    shifted = r - risk_free
-    clipped = shifted.clip(-np.inf, 0.0)
+    clipped = r.clip(-np.inf, 0.0)
     downside = _safe_sqrt((clipped * clipped).mean())
-    return -(r.mean() - risk_free) / (downside + EPS)
+    return -r.mean() / (downside + EPS)
 
 
-def _cvar_term(pooled: Tensor, alpha: float) -> Tensor:
-    n = pooled.size
-    k = math.ceil(alpha * n)
+def _cvar_term(pooled: Tensor) -> Tensor:
+    k = math.ceil(CVAR_ALPHA * pooled.size)
     worst = np.argsort(pooled.data, kind="stable")[:k]
     return -pooled[worst].mean()
 
@@ -124,11 +124,11 @@ def _per_sample_maxdd(period_returns: Tensor) -> Tensor:
     return maxdd.reshape(b)
 
 
-def l_risk(period_returns: Tensor, alpha: float = 0.05) -> Tensor:
+def l_risk(period_returns: Tensor) -> Tensor:
     """CVaR of the pooled daily returns plus half the mean per-sample drawdown."""
     b, h = period_returns.shape
     pooled = period_returns.reshape(b * h)
-    return _cvar_term(pooled, alpha) + 0.5 * _per_sample_maxdd(period_returns).mean()
+    return _cvar_term(pooled) + 0.5 * _per_sample_maxdd(period_returns).mean()
 
 
 def l_div(weights: Tensor) -> Tensor:
@@ -137,12 +137,11 @@ def l_div(weights: Tensor) -> Tensor:
     return ent.mean() if ent.ndim > 0 else ent
 
 
-def l_turn(w_new: Tensor, w_old: Tensor, target: float = 0.02,
-           width: float = 0.01) -> Tensor:
+def l_turn(w_new: Tensor, w_old: Tensor) -> Tensor:
     """Gaussian reward peaking at the turnover target, batch-averaged."""
     turnover = (w_new - w_old).abs().sum(axis=-1)
-    dev = turnover - target
-    kernel = (-(dev * dev) * (1.0 / width)).exp()
+    dev = turnover - TURNOVER_TARGET
+    kernel = (-(dev * dev) * (1.0 / TURNOVER_WIDTH)).exp()
     value = kernel.mean() if kernel.ndim > 0 else kernel
     return -value
 
@@ -166,12 +165,11 @@ def loss_from_batch(weights: Tensor, previous_weights: np.ndarray,
     period = (weights.reshape(b, n, 1) * Tensor(targets)).sum(axis=1)   # (B, H)
     pooled = period.reshape(b * h)
 
-    total = (lw.sharpe * l_sharpe(pooled, lw.risk_free_daily)
-             + lw.sortino * l_sortino(pooled, lw.risk_free_daily)
-             + lw.risk * l_risk(period, lw.cvar_alpha)
+    total = (lw.sharpe * l_sharpe(pooled)
+             + lw.sortino * l_sortino(pooled)
+             + lw.risk * l_risk(period)
              + lw.diversification * l_div(weights)
-             + lw.turnover * l_turn(weights, Tensor(np.asarray(previous_weights)),
-                                    lw.turnover_target, lw.turnover_width))
+             + lw.turnover * l_turn(weights, Tensor(np.asarray(previous_weights))))
     return total
 
 

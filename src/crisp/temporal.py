@@ -30,20 +30,15 @@ from .nn import LSTM
 
 __all__ = ["TemporalEncoder"]
 
-_HEADS = 4
-_HEAD_DIM = 64
 _HIDDEN = 128      # per LSTM direction
 _MODEL = 2 * _HIDDEN
+_HEADS = 4
+_HEAD_DIM = _MODEL // _HEADS
 
 
 class TemporalEncoder:
 
-    def __init__(self, bag: ParameterBag, n_features: int, rng: np.random.Generator,
-                 n_heads: int = _HEADS):
-        if _MODEL % n_heads != 0:
-            raise ValueError(f"{n_heads} heads do not divide model width {_MODEL}")
-        self.n_heads = n_heads
-        self.head_dim = _MODEL // n_heads
+    def __init__(self, bag: ParameterBag, n_features: int, rng: np.random.Generator):
         self.fwd = LSTM(bag, "temporal.lstm_fwd", n_features, _HIDDEN, rng)
         self.bwd = LSTM(bag, "temporal.lstm_bwd", n_features, _HIDDEN, rng)
         self.wq = bag.register("temporal.attn_q", uniform_init(rng, _MODEL, (_MODEL, _MODEL)))
@@ -62,7 +57,7 @@ class TemporalEncoder:
 
     def _split_heads(self, x: Tensor, rows: int, steps: int) -> Tensor:
         # (rows, T, model) -> (rows, heads, T, head_dim)
-        return x.reshape(rows, steps, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
+        return x.reshape(rows, steps, _HEADS, _HEAD_DIM).transpose((0, 2, 1, 3))
 
     def self_attention(self, h: Tensor, return_weights: bool = False):
         """(B*N, T, 256) -> (B*N, T, 128) attention over time, per sequence.
@@ -78,7 +73,7 @@ class TemporalEncoder:
         v = self._split_heads(matmul(h, cast(self.wv, h.dtype)), rows, steps)
         scores = matmul(q, k.swap_last_two())
         weights = softmax(scores, axis=-1,                    # (rows, heads, T, T)
-                          temperature=math.sqrt(self.head_dim))
+                          temperature=math.sqrt(_HEAD_DIM))
         mixed = matmul(weights, v)
         mixed = mixed.transpose((0, 2, 1, 3)).reshape(rows, steps, _MODEL)
         out = matmul(mixed, cast(matmul(self.w_out, self.w_step), h.dtype))

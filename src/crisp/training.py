@@ -249,7 +249,6 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
     stopped_early: bool = False
     diverged: bool = False
-    clip_events: int = 0
 
     def log_csv(self) -> str:
         lines = ["epoch,train_loss,val_loss,lr,clips,grad_norm"]
@@ -322,7 +321,6 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
                     batch_loss.backward()
                 norm, clipped = clip_gradients(params, config.clip_norm)
                 clips += clipped
-                result.clip_events += clipped
                 max_norm = max(max_norm, norm)
                 adam_step(params, adam, lr)
                 epoch_loss += float(batch_loss.data) * len(idx)

@@ -426,7 +426,7 @@ def test_07_determinism(twin_runs, small_universe, book, prior, small_windows,
     assert blob1 == blob2
     assert r1.log_csv() == r2.log_csv()
 
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     reports = [run_backtest(crisp_strategy(r.checkpoint, prior, defensive),
                             small_universe, small_windows[20:])
                for r in (r1, r2)]
@@ -460,7 +460,7 @@ def test_08_causality_audit(twin_runs, small_universe, book, prior, small_window
                                    returns=returns, regimes=regimes)
     assert not np.array_equal(tampered.returns, u.returns)
 
-    defensive = np.array(book.defensive_mask(u.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(u.tickers)
     strategies = [
         equal_weight(),
         mean_variance(lookback=60),
@@ -489,7 +489,7 @@ def test_09_synthetic_end_to_end(book):
                       crisis_corr=0.8, calm_mean=0.0005, crisis_mean=-0.003,
                       defensive_vol_factor=0.3)
     tickers = book.tickers()
-    didx = [i for i, flag in enumerate(book.defensive_mask(tickers)) if flag]
+    didx = np.flatnonzero(book.defensive_mask(tickers)).tolist()
     u = generate_synthetic(tickers, 1500, seed=11, config=rc,
                            defensive_indices=didx)
     inventory = make_windows(u, 20, 5, 3)
@@ -505,7 +505,7 @@ def test_09_synthetic_end_to_end(book):
     test = [w for w in make_windows(u, 20, 5, 5) if w.end >= boundary]
     assert len(train) >= 50 and len(test) >= 60
 
-    defensive = np.array(book.defensive_mask(u.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(u.tickers)
     dmask = defensive.astype(bool)
     prior = build_prior(book.sector_map, book.region_map, u.tickers)
     attach_features(u, train, defensive)

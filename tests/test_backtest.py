@@ -11,6 +11,8 @@ from crisp import backtest
 from crisp.allocation import WEIGHT_CAP, WEIGHT_FLOOR, PortfolioWeights, project_constraints
 from crisp.backtest import (
     ABLATION_NAMES,
+    CORR_LOOKBACK,
+    CORR_THRESHOLD,
     BacktestReport,
     Strategy,
     ablation_csv,
@@ -26,7 +28,7 @@ from crisp.backtest import (
     static_adjacency_at,
     train_on_universe,
 )
-from crisp.data import generate_synthetic, make_windows
+from crisp.data import RegimeConfig, generate_synthetic, make_windows
 from crisp.features import PAD, compute_features
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import MetricSet
@@ -471,23 +473,30 @@ def test_random_selection_is_per_date_deterministic(five_universe):
     w1.validate()
 
 
-def test_static_adjacency_brute_force(five_universe):
-    end = 70
-    adj, empty = static_adjacency_at(five_universe, end, lookback=50, threshold=0.3)
-    hist = five_universe.returns[:, end + 1 - 50:end + 1]
-    corr = np.corrcoef(hist)
-    raw = (corr > 0.3).astype(np.float64)
-    np.fill_diagonal(raw, 0.0)
-    assert np.allclose(adj, normalize_adjacency(raw), atol=1e-15)
-    assert empty == (not raw.any())
+def test_static_adjacency_brute_force(book):
+    # crisis-heavy, so the 0.5 threshold keeps some edges and drops others
+    market = generate_synthetic(book.tickers(), 300, seed=11,
+                                config=RegimeConfig(p_calm_to_crisis=0.05),
+                                defensive_indices=DEFENSIVE_IDX)
+    # 70 has less history than the lookback; 290 uses the full 252 days
+    for end in (70, 290):
+        adj, empty = static_adjacency_at(market, end)
+        take = min(CORR_LOOKBACK, end + 1)
+        hist = market.returns[:, end + 1 - take:end + 1]
+        corr = np.corrcoef(hist)
+        raw = (corr > CORR_THRESHOLD).astype(np.float64)
+        np.fill_diagonal(raw, 0.0)
+        assert 0 < raw.sum() < 13 * 12          # neither empty nor complete
+        assert np.allclose(adj, normalize_adjacency(raw), atol=1e-15)
+        assert not empty
 
-    short, flag = static_adjacency_at(five_universe, 0, lookback=50)
-    assert flag and np.allclose(short, np.eye(5), atol=0)
+    short, flag = static_adjacency_at(market, 0)
+    assert flag and np.allclose(short, np.eye(13), atol=0)
 
 
 def test_attach_features_matches_direct_compute(small_universe, five_windows, book):
     windows = make_windows(small_universe, 20, 5, 5)[:2]
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     attach_features(small_universe, windows, defensive)
     w = windows[0]
     p_pad, v_pad, m_pad = small_universe.padded_inputs(PAD)
@@ -503,7 +512,7 @@ def test_attach_features_matches_direct_compute(small_universe, five_windows, bo
 
 def test_crisp_strategy_emits_feasible_weights_and_attention(
         trained_checkpoint, small_universe, book, prior):
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     strat = crisp_strategy(trained_checkpoint, prior, defensive)
     windows = make_windows(small_universe, 20, 5, 5)
     report = run_backtest(strat, small_universe, windows[-3:])
@@ -520,7 +529,7 @@ def test_crisp_strategy_emits_feasible_weights_and_attention(
 
 def test_crisp_strategy_run_twice_gives_each_report_its_own_attention(
         trained_checkpoint, small_universe, book, prior):
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     strat = crisp_strategy(trained_checkpoint, prior, defensive)
     windows = make_windows(small_universe, 20, 5, 5)[-3:]
     first = run_backtest(strat, small_universe, windows)
@@ -537,7 +546,7 @@ def test_static_graph_strategy_notes_an_empty_graph_without_attention(
     config = replace(trained_checkpoint.model_config, static_graph=True)
     static = replace(trained_checkpoint, model_config=config,
                      best_params=CrispModel(config).state())
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     strat = crisp_strategy(static, prior, defensive)
     windows = make_windows(small_universe, 20, 5, 5)[-2:]
     report = run_backtest(strat, small_universe, windows)
@@ -548,7 +557,7 @@ def test_static_graph_strategy_notes_an_empty_graph_without_attention(
 
 def test_crisp_strategy_rejects_early_window(trained_checkpoint, small_universe,
                                              book, prior):
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     strat = crisp_strategy(trained_checkpoint, prior, defensive)
     with pytest.raises(ValueError, match="no room"):
         strat.weight_fn(small_universe, 5, np.full(13, 1.0 / 13))
@@ -558,8 +567,7 @@ def test_crisp_strategy_rejects_universe_with_other_asset_count(trained_checkpoi
     tickers = book.tickers()[:12]
     universe = generate_synthetic(tickers, 60, seed=3)
     prior12 = build_prior(book.sector_map, book.region_map, tickers)
-    strat = crisp_strategy(trained_checkpoint, prior12,
-                           np.array(book.defensive_mask(tickers), dtype=np.float64))
+    strat = crisp_strategy(trained_checkpoint, prior12, book.defensive_mask(tickers))
     with pytest.raises(ValueError, match="model built for 13 assets, got 12"):
         strat.weight_fn(universe, 30, np.full(12, 1.0 / 12))
 

@@ -2,11 +2,14 @@
 
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 from crisp import backtest, cli
 from crisp.cli import UsageError, echo_config, load_config, main
+from crisp.data import RegimeConfig, generate_synthetic
 from crisp.features import N_FEATURES
 from crisp.training import TrainConfig
 
@@ -48,7 +51,6 @@ crisis_corr = 0.8
 calm_mean = 0.0004
 crisis_mean = -0.002
 defensive_vol_factor = 0.4
-defensive_indices = auto
 
 [model]
 n_features = 31
@@ -73,10 +75,6 @@ sortino = 0.2
 risk = 0.3
 diversification = 0.05
 turnover = 0.05
-risk_free_daily = 0.0
-cvar_alpha = 0.05
-turnover_target = 0.02
-turnover_width = 0.01
 
 [backtest]
 strategies = crisp,equal_weight,mean_variance,risk_parity
@@ -101,7 +99,8 @@ def test_defaults_cover_every_key():
     assert cfg["model"]["n_features"] == N_FEATURES
     assert cfg["train"]["max_epochs"] == 200
     assert cfg["loss"]["sharpe"] == 0.4
-    assert cfg["loss"]["turnover_target"] == 0.02
+    assert list(cfg["loss"]) == ["sharpe", "sortino", "risk", "diversification", "turnover"]
+    assert sum(len(keys) for keys in cfg.values()) == 41
 
 
 def test_overrides_are_coerced(tmp_path):
@@ -128,11 +127,20 @@ sharpe = 0.5
     ("[train]\nwarmup = 5\n", "unknown config key"),
     ("[train]\nbatch_size = fast\n", "not a valid int"),
     ("[model]\nstatic_graph = maybe\n", "not a valid bool"),
+    # keys that were fixed constants, or the defensive set the asset book owns
+    ("[loss]\nrisk_free_daily = 0.0\n", "unknown config key [loss] risk_free_daily"),
+    ("[loss]\ncvar_alpha = 0.05\n", "unknown config key [loss] cvar_alpha"),
+    ("[loss]\nturnover_target = 0.02\n", "unknown config key [loss] turnover_target"),
+    ("[loss]\nturnover_width = 0.01\n", "unknown config key [loss] turnover_width"),
+    ("[synthetic]\ndefensive_indices = auto\n",
+     "unknown config key [synthetic] defensive_indices"),
 ])
-def test_bad_config_rejected(tmp_path, text, fragment):
+def test_bad_config_rejected(tmp_path, capsys, text, fragment):
     path = write(tmp_path, text)
-    with pytest.raises(UsageError, match=fragment):
+    with pytest.raises(UsageError, match=re.escape(fragment)):
         load_config(path)
+    assert main(["synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_missing_config_file_rejected():
@@ -143,7 +151,7 @@ def test_missing_config_file_rejected():
 def test_echo_round_trip(tmp_path):
     cfg = load_config(None)
     cfg["train"]["batch_size"] = 7
-    cfg["loss"]["cvar_alpha"] = 0.1
+    cfg["loss"]["risk"] = 0.1
     cfg["model"]["use_alloc_lstm"] = False
     path = echo_config(cfg, str(tmp_path))
     assert load_config(path) == cfg
@@ -190,6 +198,32 @@ def test_train_variant_and_ablation_build_equal_model_configs(
     capsys.readouterr()
 
 
+def test_default_market_damps_exactly_the_books_defensive_assets(book):
+    cfg = load_config(None)
+    regime = RegimeConfig()
+    market = cli._build_universe(cfg, book, regime)
+    # the same seed with no defensive assets draws the same shocks, so only
+    # the damped assets' crisis days differ
+    s = cfg["synthetic"]
+    plain = generate_synthetic(book.tickers(), s["days"], s["seed"], regime)
+    crisis = market.regimes == 1
+    assert crisis.sum() > 100
+    assert np.array_equal(market.returns[:, ~crisis], plain.returns[:, ~crisis])
+    changed = (market.returns != plain.returns).any(axis=1)
+    assert np.array_equal(changed, book.defensive_mask(book.tickers()) == 1.0)
+    vol = market.returns[:, crisis].std(axis=1, ddof=1)
+    assert vol[changed].max() < 0.6 * vol[~changed].min()
+
+
+@pytest.mark.parametrize("rows", ["WMT,staples\n", "WMT,,US\n"], ids=["short_row", "blank"])
+def test_bad_universe_file_is_a_usage_error(tmp_path, capsys, rows):
+    universe_file = tmp_path / "book.csv"
+    universe_file.write_text("ticker,sector,region\n" + rows)
+    cfg = write(tmp_path, f"[data]\nuniverse_file = {universe_file}\n")
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "line 2: ticker 'WMT' has a blank sector or region" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "[nonsense]\nx = 1\n")
     code = main(["synth", "--config", bad, "--out", str(tmp_path / "o")])
@@ -202,15 +236,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ("model", "gat_heads", 3, "3 heads do not divide refined width 128"),
     ("synthetic", "crisis_vol", -1, "crisis_vol must be positive, got -1.0"),
     ("synthetic", "days", 1, "need at least 2 days, got 1"),
-    ("synthetic", "defensive_indices", 40, "defensive index 40 out of range for 13 tickers"),
     ("backtest", "mv_lookback", -5, "mean_variance: lookback must be >= 2 days, got -5"),
     ("backtest", "rp_lookback", 1, "risk_parity: lookback must be >= 2 days, got 1"),
     ("backtest", "mv_risk_aversion", -1.0,
      "mean_variance: risk_aversion must be finite and >= 0, got -1.0"),
     ("backtest", "mv_risk_aversion", "nan",
      "mean_variance: risk_aversion must be finite and >= 0, got nan"),
-], ids=["clip_norm", "gat_heads", "crisis_vol", "days", "defensive_indices",
-        "mv_lookback", "rp_lookback", "mv_risk_aversion", "mv_risk_aversion_nan"])
+], ids=["clip_norm", "gat_heads", "crisis_vol", "days", "mv_lookback", "rp_lookback", "mv_risk_aversion", "mv_risk_aversion_nan"])
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, section, key,
                                                      value, message):
     # the dataclasses and baselines are built before any data work, so no

@@ -228,6 +228,37 @@ def test_synthetic_deterministic():
     assert not np.array_equal(a.returns, c.returns)
 
 
+def reference_regimes(days, seed, config):
+    """The regime chain drawn with one ``rng.random()`` call per day, and the
+    generator it leaves behind."""
+    rng = np.random.default_rng(seed)
+    leave = (config.p_calm_to_crisis, config.p_crisis_to_calm)
+    regimes = np.empty(days, dtype=np.int64)
+    state = 0
+    for t in range(days):
+        regimes[t] = state
+        state = 1 - state if rng.random() < leave[state] else state
+    return regimes, rng
+
+
+@pytest.mark.parametrize("p_in, p_out", [(0.02, 0.10), (0.0, 0.0), (1.0, 1.0), (0.3, 0.0)])
+def test_synthetic_market_matches_the_per_day_draws(p_in, p_out):
+    cfg = RegimeConfig(p_calm_to_crisis=p_in, p_crisis_to_calm=p_out)
+    for seed in range(20):
+        days = 50 + 13 * seed
+        regimes, rng = reference_regimes(days, seed, cfg)
+        u = generate_synthetic(TICKERS3, days, seed, cfg)
+        assert np.array_equal(u.regimes, regimes)
+        # the factor and idiosyncratic shocks come next in the stream
+        factor, idio = rng.standard_normal(days), rng.standard_normal((2, days))
+        calm = regimes == 0
+        mean = np.where(calm, cfg.calm_mean, cfg.crisis_mean)
+        vol = np.where(calm, cfg.calm_vol, cfg.crisis_vol)
+        corr = np.where(calm, cfg.calm_corr, cfg.crisis_corr)
+        want = mean + vol * (np.sqrt(corr) * factor + np.sqrt(1.0 - corr) * idio)
+        assert u.returns.tobytes() == want.tobytes()
+
+
 def test_synthetic_crisis_correlation_exceeds_calm():
     u = generate_synthetic([f"S{i}" for i in range(8)], 5000, seed=2)
     r = u.returns

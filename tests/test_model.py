@@ -44,12 +44,11 @@ def joined_forward(model, features, prior_adjacency, rng, training,
     h_bi = concat([composed_lstm(enc.fwd, flat),
                    composed_lstm(enc.bwd, flat, reverse=True)], axis=2)
 
-    def split_heads(w):
-        return (matmul(h_bi, w).reshape(rows, steps, enc.n_heads, enc.head_dim)
-                .transpose((0, 2, 1, 3)))
+    def split_heads(w):         # 4 heads of 64
+        return matmul(h_bi, w).reshape(rows, steps, 4, 64).transpose((0, 2, 1, 3))
 
     q, k, v = split_heads(enc.wq), split_heads(enc.wk), split_heads(enc.wv)
-    scores = matmul(q, k.swap_last_two()) * (1.0 / math.sqrt(enc.head_dim))
+    scores = matmul(q, k.swap_last_two()) * (1.0 / math.sqrt(64))
     mixed = matmul(softmax(scores, axis=-1), v).transpose((0, 2, 1, 3))
     h_attn = matmul(mixed.reshape(rows, steps, 256), enc.w_out)
     h_step = matmul(h_attn, enc.w_step).reshape(b, n, steps, 128)

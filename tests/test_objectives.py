@@ -64,11 +64,7 @@ def project(w):
 def test_sharpe_term_oracle(rng):
     r = 0.01 * rng.standard_normal(40)
     got = l_sharpe(Tensor(r)).data
-    want = -(r.mean() - 0.0) / (r.std(ddof=0) + EPS)
-    assert np.isclose(got, want, atol=1e-12, rtol=0)
-    rf = 0.0002
-    got = l_sharpe(Tensor(r), risk_free=rf).data
-    want = -(r.mean() - rf) / (r.std(ddof=0) + EPS)
+    want = -r.mean() / (r.std(ddof=0) + EPS)
     assert np.isclose(got, want, atol=1e-12, rtol=0)
 
 
@@ -141,20 +137,6 @@ def test_loss_weights_override(rng):
     assert np.isclose(total, want, atol=1e-12, rtol=0)
     with pytest.raises(ValueError, match="non-negative"):
         LossWeights(sharpe=-0.1)
-
-
-@pytest.mark.parametrize("overrides, fragment", [
-    ({"cvar_alpha": 0.0}, "cvar_alpha"),
-    ({"cvar_alpha": -0.05}, "cvar_alpha"),
-    ({"cvar_alpha": 1.5}, "cvar_alpha"),
-    ({"turnover_width": 0.0}, "turnover_width"),
-    ({"turnover_width": -0.01}, "turnover_width"),
-])
-def test_loss_weights_reject_out_of_range_values(overrides, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        LossWeights(**overrides)
-    # the whole sample is the tail at alpha = 1
-    LossWeights(cvar_alpha=1.0)
 
 
 def test_zero_variance_batch_stays_finite():

@@ -1,7 +1,6 @@
 """Temporal encoder: BiLSTM composition, attention algebra, per-step output."""
 
 import numpy as np
-import pytest
 
 from crisp.autodiff import ParameterBag, Tensor
 from crisp.temporal import TemporalEncoder
@@ -10,9 +9,9 @@ from _gradcheck import max_rel_error
 from test_nn import reference_lstm
 
 
-def make_encoder(rng, n_features=6, n_heads=4):
+def make_encoder(rng, n_features=6):
     bag = ParameterBag()
-    return bag, TemporalEncoder(bag, n_features, rng, n_heads=n_heads)
+    return bag, TemporalEncoder(bag, n_features, rng)
 
 
 def test_output_shapes(rng):
@@ -20,12 +19,6 @@ def test_output_shapes(rng):
     x = Tensor(0.1 * rng.standard_normal((2, 3, 5, 6)))
     h_step = enc(x)
     assert h_step.shape == (2, 3, 5, 128)
-
-
-def test_head_count_must_divide_width(rng):
-    bag = ParameterBag()
-    with pytest.raises(ValueError, match="heads"):
-        TemporalEncoder(bag, 6, rng, n_heads=3)
 
 
 def test_bilstm_matches_directional_oracles(rng):
@@ -51,17 +44,17 @@ def test_attention_weight_rows_sum_to_one(rng):
 
 
 def test_attention_matches_manual_numpy(rng):
-    bag, enc = make_encoder(rng, n_heads=2)
+    bag, enc = make_encoder(rng)
     rows, steps = 2, 5
     h = rng.standard_normal((rows, steps, 256))
     out = enc.self_attention(Tensor(h)).data
 
     wq, wk, wv = enc.wq.data, enc.wk.data, enc.wv.data
-    hd = 128
+    hd = 64
     expected = np.empty((rows, steps, 128))
     for r in range(rows):
         mixed_heads = []
-        for head in range(2):
+        for head in range(4):
             sl = slice(head * hd, (head + 1) * hd)
             q = (h[r] @ wq)[:, sl]
             k = (h[r] @ wk)[:, sl]

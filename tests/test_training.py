@@ -31,7 +31,7 @@ from crisp.training import (
 @pytest.fixture(scope="module")
 def windows(book, small_universe):
     ws = make_windows(small_universe, 20, 5, 5)[:12]
-    defensive = np.array(book.defensive_mask(small_universe.tickers), dtype=np.float64)
+    defensive = book.defensive_mask(small_universe.tickers)
     attach_features(small_universe, ws, defensive)
     return ws
 
@@ -443,7 +443,6 @@ def test_log_csv_format(trained):
         clips, norm = line.split(",")[4:]
         assert int(clips) == row["clips"] and float(norm) == pytest.approx(row["grad_norm"])
         assert 0 <= row["clips"] <= 2 and row["grad_norm"] > 0.0     # 2 batches an epoch
-    assert sum(row["clips"] for row in result.log) == result.clip_events
 
 
 def test_log_counts_every_clipped_batch(windows, prior):
@@ -451,7 +450,6 @@ def test_log_counts_every_clipped_batch(windows, prior):
     result = train(CrispModel(ModelConfig(init_seed=1)), windows, prior.normalized,
                    quick_config(clip_norm=1e-9))
     assert [row["clips"] for row in result.log] == [2, 2]
-    assert result.clip_events == 4
     assert all(row["grad_norm"] > 1e-9 for row in result.log)
 
 

@@ -1,5 +1,6 @@
 """Asset book loading and the shipped default roster."""
 
+import numpy as np
 import pytest
 
 from crisp.universe import (
@@ -24,7 +25,8 @@ def test_default_book_shape():
 def test_defensive_mask_order():
     book = load_asset_book()
     mask = book.defensive_mask(["CL", "ORCL", "WMT"])
-    assert mask == [True, False, True]
+    assert mask.dtype == np.float64
+    assert mask.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_custom_csv_round_trip(tmp_path):
@@ -55,4 +57,17 @@ def test_empty_book_rejected(tmp_path):
     path = tmp_path / "book.csv"
     path.write_text("ticker,sector,region\n")
     with pytest.raises(ValueError, match="empty"):
+        load_asset_book(str(path))
+
+
+@pytest.mark.parametrize("rows, line, ticker", [
+    ("WMT,staples,US\nZZ,tech\n", 3, "ZZ"),            # no region field at all
+    ("WMT,,US\nZZ,tech,EU\n", 2, "WMT"),               # blank sector
+    ("WMT,staples,US\nZZ,tech, \n", 3, "ZZ"),           # blank region
+], ids=["short_row", "blank_sector", "blank_region"])
+def test_row_missing_sector_or_region_rejected(tmp_path, rows, line, ticker):
+    path = tmp_path / "book.csv"
+    path.write_text("ticker,sector,region\n" + rows)
+    with pytest.raises(ValueError, match=f"line {line}: ticker '{ticker}' has a blank "
+                                         f"sector or region"):
         load_asset_book(str(path))
