@@ -32,7 +32,8 @@ from .allocation import (
     score_to_weights,
 )
 from .data import Universe, Window
-from .features import CRISIS_FEATURES, N_FEATURES, PAD, compute_features, feature_columns
+from .features import (CRISIS_FEATURES, N_FEATURES, PAD, compute_features, day_features,
+                       feature_columns, finish_window)
 from .graphattn import AttentionRecord
 from .model import CrispModel, ModelConfig
 from .objectives import LossWeights, MetricSet, metrics
@@ -352,23 +353,20 @@ def random_selection(seed: int = 0) -> Strategy:
 
 # -- model-backed strategies --------------------------------------------------
 
-def _window_features(padded: tuple[np.ndarray, np.ndarray, np.ndarray],
-                     start: int, days: int, defensive_mask: np.ndarray) -> np.ndarray:
-    """Raw full-roster features of the ``days``-day window from ``start``."""
-    p_pad, v_pad, m_pad = padded
-    lo, hi = start, start + PAD + days
-    return compute_features(p_pad[:, lo:hi], v_pad[:, lo:hi], m_pad[lo:hi],
-                            defensive=defensive_mask)
-
-
 def attach_features(universe: Universe, windows: list[Window],
                     defensive_mask: np.ndarray) -> None:
-    """Compute (and cache on each window) the raw full-roster feature tensor."""
-    padded = universe.padded_inputs(PAD)
-    for w in windows:
-        if w.features is None:
-            w.features = _window_features(padded, w.start, w.end - w.start + 1,
-                                          defensive_mask)
+    """Compute (and cache on each window) the raw full-roster feature tensor: one
+    pass over the days the windows without features cover, a copy per window."""
+    pending = [w for w in windows if w.features is None]
+    if not pending:
+        return
+    lo, hi = min(w.start for w in pending), max(w.end for w in pending) + 1 + PAD
+    with np.errstate(all="ignore"):     # days no window reads may hold any value
+        f, live = day_features(*(a[..., lo:hi] for a in universe.padded_inputs(PAD)),
+                               defensive=defensive_mask)
+    for w in pending:
+        days = slice(w.start - lo, w.end - lo + 1)
+        w.features = finish_window(f[:, days].copy(), live[:, days])
 
 
 def static_adjacency_at(universe: Universe, end: int) -> tuple[np.ndarray, bool]:
@@ -410,8 +408,9 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
         start = end - window + 1
         if start < 0:
             raise ValueError(f"window ending at {end} has no room for {window} days")
-        feats = _window_features(universe.padded_inputs(PAD), start, window,
-                                 defensive_mask)
+        hi = start + PAD + window
+        feats = compute_features(*(a[..., start:hi] for a in universe.padded_inputs(PAD)),
+                                 defensive=defensive_mask)
         if columns is not None:
             feats = feats[:, :, columns]
         feats = normalizer.transform(feats)

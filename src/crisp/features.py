@@ -4,7 +4,10 @@ Input arrays are aligned to return days: column k of the price matrix is
 the close at the end of return day k, volumes are the same day's volume
 and the market series is the equal-weight universe return.  A window of T
 days arrives with a 20-day leading pad so every rolling quantity has full
-lookback; features for day t use only columns <= t (causality).
+lookback; features for day t use only columns <= t (causality).  Windows
+share one :func:`day_features` pass over the days they cover, which fills
+every column but ``vol_pctile_60``; :func:`finish_window` ranks that column
+over one window's own days and checks them.
 
 Roster (31 entries, order fixed):
 
@@ -43,7 +46,9 @@ __all__ = [
     "amihud",
     "compute_features",
     "cvar",
+    "day_features",
     "feature_columns",
+    "finish_window",
     "rsi",
 ]
 
@@ -177,6 +182,14 @@ def compute_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     days (close at end of each day); ``market_returns`` is (PAD+T,).  Output
     is (N, T, 31).  Raises when fewer than PAD+1 columns are supplied.
     """
+    return finish_window(*day_features(window_prices, window_volumes, market_returns, defensive))
+
+
+def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
+                 market_returns: np.ndarray,
+                 defensive: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`compute_features` over a padded span of D days, ``vol_pctile_60`` unset, and
+    each day's count of live dollar-volume days (N, D); it checks shapes, not values."""
     p = np.asarray(window_prices, dtype=np.float64)
     v = np.asarray(window_volumes, dtype=np.float64)
     m = np.asarray(market_returns, dtype=np.float64).ravel()
@@ -257,9 +270,7 @@ def compute_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     ratio = np.where(live, np.abs(r) / np.where(live, dollar, 1.0), 0.0)
     ratw = _roll(ratio, _WIN)[:, PAD - _WIN + 1:, :]
     live_counts = livew.sum(axis=-1)
-    if (live_counts == 0).any():
-        raise ValueError("amihud undefined: a window has zero dollar volume on every day")
-    f[:, :, 14] = ratw.sum(axis=-1) / live_counts
+    f[:, :, 14] = _safe_div(ratw.sum(axis=-1), live_counts)
     f[:, :, 15] = vw.mean(axis=-1) / (vstd + 1e-8)    # guard keeps constant volume finite
 
     # technical block
@@ -267,12 +278,6 @@ def compute_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     ma20 = pw.mean(axis=-1)
     f[:, :, 16] = ma5 / ma20
     f[:, :, 17] = p[:, day] / ma20
-    vol_series = _roll(r, _WIN).std(axis=-1, ddof=1)  # (N, W-19) 20d vol ending at each col
-    for t in range(t_len):
-        idx = PAD - _WIN + 1 + t                       # vol_series index for this day
-        lo = max(1, idx - 59)                          # index 0 spans the undefined day-0 return
-        hist = vol_series[:, lo:idx + 1]
-        f[:, t, 18] = (hist <= vol_series[:, idx:idx + 1]).mean(axis=-1)
     vol5 = _roll(r, 5)[:, PAD - 4:, :].std(axis=-1, ddof=1)
     f[:, :, 19] = _safe_div(vol5, std, fallback=1.0)
 
@@ -298,7 +303,20 @@ def compute_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     # interactions
     f[:, :, 29] = f[:, :, 9] * f[:, :, 1]
     f[:, :, 30] = f[:, :, 11] * f[:, :, 7]
+    return f, live_counts
 
+
+def finish_window(f: np.ndarray, live_counts: np.ndarray) -> np.ndarray:
+    """Fill ``vol_pctile_60`` into one window's (N, T, 31) slice, in place: a day ranks
+    its ``ret_std_20`` against up to 60 window days ending at itself.  Zero dollar
+    volume raises ``ValueError``, a non-finite value ``FloatingPointError``."""
+    if (live_counts == 0).any():
+        raise ValueError("amihud undefined: a window has zero dollar volume on every day")
+    vol = f[:, :, 1]
+    # +inf before day 0 is never <= a finite vol; an infinite vol fails the check below
+    band = _roll(np.concatenate([np.full((len(vol), 59), np.inf), vol], axis=1), 60)
+    hits = (band <= vol[:, :, None]).sum(axis=-1)
+    f[:, :, 18] = hits / np.minimum(np.arange(1, vol.shape[1] + 1), 60)
     if not np.isfinite(f).all():
         bad = [FEATURE_ROSTER[i][0] for i in
                sorted(set(np.argwhere(~np.isfinite(f))[:, 2].tolist()))]

@@ -270,7 +270,8 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
     tail, and the best epoch is the one with the lowest validation loss.
     Turnover in the loss uses a uniform previous-weight convention: shuffled
     batches have no meaningful period ordering.  Each log row carries the
-    epoch's clipped-batch count and its largest pre-clip gradient norm.
+    epoch's clipped-batch count and its largest pre-clip gradient norm; an
+    epoch whose loss or gradient turns non-finite logs ``nan`` losses, then stops.
     """
     lw = loss_weights or LossWeights()
     n_val = max(1, round(config.val_fraction * len(windows)))
@@ -327,17 +328,19 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
         except FloatingPointError:
             model.load_state(last_good)
             result.diverged = True
-            break
-        last_good = model.state()
-
-        with no_grad(), precision(ENCODER_DTYPE):
-            w, _ = model.forward(
-                feats[n_train:], prior_adjacency, np.random.default_rng(0), training=False,
-                static_adjacency=None if static is None else static[n_train:])
-            val_loss = float(loss_from_batch(w, prev[:n_val], targets[n_train:], lw).data)
+            epoch_loss = val_loss = math.nan
+        else:
+            last_good = model.state()
+            with no_grad(), precision(ENCODER_DTYPE):
+                w, _ = model.forward(
+                    feats[n_train:], prior_adjacency, np.random.default_rng(0), training=False,
+                    static_adjacency=None if static is None else static[n_train:])
+                val_loss = float(loss_from_batch(w, prev[:n_val], targets[n_train:], lw).data)
         result.log.append({"epoch": epoch, "train_loss": epoch_loss / n_train,
                            "val_loss": val_loss, "lr": lr, "clips": clips,
                            "grad_norm": max_norm})
+        if result.diverged:
+            break
 
         if best_val is None or val_loss < best_val:
             best_val, best_params, bad_epochs = val_loss, last_good, 0

@@ -1,5 +1,6 @@
 """Backtester walk, classical baselines, and the model-backed strategy."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from crisp.backtest import (
     static_adjacency_at,
     train_on_universe,
 )
-from crisp.data import RegimeConfig, generate_synthetic, make_windows
+from crisp.data import RegimeConfig, Universe, generate_synthetic, make_windows
 from crisp.features import PAD, compute_features
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import MetricSet
@@ -101,8 +102,10 @@ def reference_mean_variance_weights(mu, sigma, risk_aversion):
     """Slow oracle for ``mean_variance_weights``: accelerated projected gradient.
 
     FISTA with step 1/L and a gradient restart, run until an iterate stops
-    moving.  A zero risk aversion takes one step of 1e6 / max|mu|, whose
-    projection is the linear program's vertex when the means are distinct.
+    moving beyond the rounding of its projection, a few ulps of the largest
+    projected entry.  A zero risk aversion takes one step of 1e6 / max|mu|,
+    whose projection is the linear program's vertex when the means are
+    distinct.
     """
     n = mu.size
     hess = 2.0 * risk_aversion * sigma
@@ -111,14 +114,15 @@ def reference_mean_variance_weights(mu, sigma, risk_aversion):
     w = y = np.full(n, 1.0 / n)
     t = 1.0
     for _ in range(20000):
-        w_next = bisection_projection(y + step * (mu - hess @ y))
+        v = y + step * (mu - hess @ y)
+        w_next = bisection_projection(v)
         if (y - w_next) @ (w_next - w) > 0.0:
             t, y = 1.0, w_next
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = w_next + (t - 1.0) / t_next * (w_next - w)
             t = t_next
-        if np.abs(w_next - w).max() < 1e-16:
+        if np.abs(w_next - w).max() <= 4.0 * np.spacing(np.abs(v).max()):
             return w_next
         w = w_next
     raise AssertionError("reference did not settle")
@@ -508,6 +512,90 @@ def test_attach_features_matches_direct_compute(small_universe, five_windows, bo
     cached = w.features
     attach_features(small_universe, windows, defensive)
     assert w.features is cached
+
+
+def _own_compute(universe, w, defensive):
+    """The window's features from its own padded slice, as walk-forward builds them."""
+    p_pad, v_pad, m_pad = universe.padded_inputs(PAD)
+    lo, hi = w.start, w.end + 1 + PAD
+    return compute_features(p_pad[:, lo:hi], v_pad[:, lo:hi], m_pad[lo:hi],
+                            defensive=defensive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), window=st.integers(1, 90),
+       horizon=st.integers(1, 10), stride=st.integers(1, 12), extra=st.integers(0, 120))
+def test_attach_features_is_bitwise_the_per_window_compute(data, seed, window, horizon,
+                                                            stride, extra):
+    # windows longer than 60 days hit vol_pctile_60's cap; the first ones
+    # start inside the edge-replicated pad
+    u = generate_synthetic(["A", "B", "C", "D", "E"], window + horizon + extra, seed=seed)
+    inventory = make_windows(u, window, horizon, stride)
+    picked = data.draw(st.lists(st.sampled_from(range(len(inventory))), min_size=1,
+                                max_size=8, unique=True))
+    subset = [inventory[k] for k in picked]              # drawn order, gaps allowed
+    defensive = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    attach_features(u, subset, defensive)
+    for w in subset:
+        want = _own_compute(u, w, defensive)
+        assert w.features.shape == want.shape and w.features.dtype == want.dtype
+        assert w.features.tobytes() == want.tobytes()
+        assert w.features.flags.owndata and w.features.flags.c_contiguous
+    assert all(inventory[k].features is None
+               for k in range(len(inventory)) if k not in picked)
+
+
+def _gap_universe():
+    """3 assets over 120 return days with zero volume on return days 50-69."""
+    rng = np.random.default_rng(5)
+    closes = 40.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((3, 121)), axis=1)
+    volumes = np.exp(rng.normal(12.0, 0.3, size=(3, 121)))
+    volumes[:, 51:71] = 0.0                 # column t + 1 holds return day t's volume
+    volumes[1, 61] = np.nan                 # return day 60
+    return Universe(tickers=["A", "B", "C"], dates=[f"d{k:03d}" for k in range(121)],
+                    closes=closes, volumes=volumes,
+                    returns=closes[:, 1:] / closes[:, :-1] - 1.0)
+
+
+def test_attach_features_reads_only_the_windows_days():
+    u = _gap_universe()
+    defensive = np.zeros(3)
+    by_start = {w.start: w for w in make_windows(u, 20, 5, 5)}
+    outer = [by_start[90], by_start[20]]    # days 90-109 and 20-39 around the gap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        attach_features(u, outer, defensive)
+    for w in outer:
+        assert w.features.tobytes() == _own_compute(u, w, defensive).tobytes()
+
+    # a zero close on return day 65 gives inf and nan on days no outer window reads
+    closes = u.closes.copy()
+    closes[2, 66] = 0.0
+    zero = replace(u, closes=closes)
+    fresh = [replace(w, features=None) for w in outer]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        attach_features(zero, fresh, defensive)
+    assert [w.features.tobytes() for w in fresh] == [w.features.tobytes() for w in outer]
+
+    # day 69's trailing 20 days are all in the gap; this window also reads
+    # day 60's nan volume, and the zero-volume check comes first
+    inside = by_start[60]
+    for attach in (lambda: attach_features(u, [by_start[20], inside], defensive),
+                   lambda: _own_compute(u, inside, defensive)):
+        with pytest.raises(ValueError, match=r"^amihud undefined: a window has zero "
+                                             r"dollar volume on every day$"):
+            attach()
+    assert inside.features is None
+
+    # days 60-64 see the nan volume of day 60 and still some live days
+    nan_window = by_start[45]
+    for attach in (lambda: attach_features(u, [nan_window], defensive),
+                   lambda: _own_compute(u, nan_window, defensive)):
+        with pytest.raises(FloatingPointError, match=r"^non-finite feature values in "
+                                                     r"\['volume_std_20', "
+                                                     r"'volume_stability_20'\]$"):
+            attach()
 
 
 def test_crisp_strategy_emits_feasible_weights_and_attention(

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from crisp.features import (
     CRISIS_FEATURES,
@@ -278,6 +281,40 @@ def test_vol_percentile_against_trailing_history(rng):
             current = vols[-1]
             pct = np.mean([v <= current for v in vols])
             assert np.isclose(feats[i, s, IDX["vol_pctile_60"]], pct, atol=1e-12)
+
+
+def vol_pctile_reference(window_prices):
+    """``vol_pctile_60`` by the per-day loop the band comparison replaced.
+
+    Each day ranks its 20-day vol against the vols ending at the window's
+    days, up to 60 of them; vol index 0 spans the undefined day-0 return.
+    """
+    p = window_prices
+    r = np.zeros_like(p)
+    r[:, 1:] = p[:, 1:] / p[:, :-1] - 1.0
+    vol_series = sliding_window_view(r, 20, axis=1).std(axis=-1, ddof=1)
+    out = np.empty((p.shape[0], p.shape[1] - PAD))
+    for t in range(out.shape[1]):
+        idx = PAD - 20 + 1 + t                         # vol_series index for this day
+        lo = max(1, idx - 59)
+        hist = vol_series[:, lo:idx + 1]
+        out[:, t] = (hist <= vol_series[:, idx:idx + 1]).mean(axis=-1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), t=st.integers(1, 150),
+       flat=st.integers(0, 60))
+def test_vol_percentile_is_bitwise_the_per_day_loop(seed, n, t, flat):
+    # a flat stretch makes runs of zero vol, so ties are compared too
+    rng = np.random.default_rng(seed)
+    rets = 0.02 * rng.standard_normal((n, PAD + t + 1))
+    rets[:, rng.integers(0, PAD + t + 1):][:, :flat] = 0.0
+    prices = 50.0 * np.cumprod(1.0 + rets, axis=1)[:, 1:]
+    volumes = np.exp(rng.normal(12.0, 0.3, size=prices.shape))
+    market = 0.01 * rng.standard_normal(PAD + t)
+    got = compute_features(prices, volumes, market)[:, :, IDX["vol_pctile_60"]]
+    assert np.ascontiguousarray(got).tobytes() == vol_pctile_reference(prices).tobytes()
 
 
 def test_normalizer_fit_transform_roundtrip(rng):

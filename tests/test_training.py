@@ -394,7 +394,39 @@ def test_divergence_detected_and_flagged(windows, prior):
         result = train(model, windows, prior.normalized, quick_config())
     assert result.diverged
     assert result.checkpoint.diverged
-    assert result.log == []
+    # the first batch diverges: one row, nan losses, nothing clipped yet
+    assert len(result.log) == 1
+    row = result.log[0]
+    assert row["epoch"] == 0 and row["lr"] == 5e-4
+    assert math.isnan(row["train_loss"]) and math.isnan(row["val_loss"])
+    assert row["clips"] == 0 and row["grad_norm"] == 0.0
+    assert result.log_csv().split("\n")[1] == "0,nan,nan,0.0005,0,0"
+
+
+def test_diverged_epoch_logs_its_clips_and_norm_so_far(windows, prior, monkeypatch):
+    # 10 training windows in batches of 6: epoch 0 takes two losses and one
+    # validation loss, so the fifth loss is epoch 1's second batch
+    from crisp import training
+
+    calls = []
+
+    def second_batch_of_epoch_1_diverges(*args):
+        loss = loss_from_batch(*args)
+        calls.append(None)
+        if len(calls) == 5:
+            loss.data = np.full_like(loss.data, np.nan)
+        return loss
+
+    monkeypatch.setattr(training, "loss_from_batch", second_batch_of_epoch_1_diverges)
+    result = train(CrispModel(ModelConfig(init_seed=1)), windows, prior.normalized,
+                   quick_config(clip_norm=1e-9, max_epochs=3))
+    assert result.diverged and len(calls) == 5
+    assert [row["epoch"] for row in result.log] == [0, 1]
+    last = result.log[1]
+    assert math.isnan(last["train_loss"]) and math.isnan(last["val_loss"])
+    assert last["lr"] == cosine_lr(1, 3, 5e-4, 5e-4)
+    assert last["clips"] == 1 and last["grad_norm"] > 1e-9
+    assert result.checkpoint.epoch == 1
 
 
 def test_train_input_validation(windows, prior):
