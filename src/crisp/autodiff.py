@@ -171,12 +171,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -234,9 +228,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a, b), "div", bwd)
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
     def __neg__(self):
         a = self
         out_data = -a.data
@@ -245,19 +236,6 @@ class Tensor:
             return (-g,)
 
         return Tensor._from_op(out_data, (a,), "neg", bwd)
-
-    def __pow__(self, exponent: float):
-        a = self
-        p = float(exponent)
-        out_data = a.data ** p
-
-        def bwd(g):
-            return (g * p * a.data ** (p - 1.0),)
-
-        return Tensor._from_op(out_data, (a,), "pow", bwd)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     # -- elementwise functions ------------------------------------------------
 
@@ -356,8 +334,6 @@ class Tensor:
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         out_data = a.data.reshape(shape)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -32,10 +31,9 @@ from .allocation import (
     score_to_weights,
 )
 from .data import Universe, Window
-from .features import (CRISIS_FEATURES, N_FEATURES, PAD, compute_features, day_features,
-                       feature_columns, finish_window)
+from .features import PAD, compute_features, day_features, feature_columns, finish_window
 from .graphattn import AttentionRecord
-from .model import CrispModel, ModelConfig
+from .model import VARIANTS, CrispModel, ModelConfig
 from .objectives import LossWeights, MetricSet, metrics
 from .spatial import PriorGraph, correlation_adjacency, normalize_adjacency
 from .training import Checkpoint, TrainConfig, TrainResult, train
@@ -43,7 +41,6 @@ from .universe import AssetBook
 
 __all__ = [
     "ABLATION_NAMES",
-    "VARIANTS",
     "BacktestReport",
     "Strategy",
     "ablation_suite",
@@ -428,17 +425,8 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
 
 # -- ablation harness ---------------------------------------------------------
 
-# CLI variant name -> (ablation row name, ModelConfig overrides)
-VARIANTS: dict[str, tuple[str, dict[str, object]]] = {
-    "full": ("Full CRISP", {}),
-    "static": ("w/o Learnable Graph", {"static_graph": True}),
-    "single_head": ("w/o Multi-Head Attn", {"gat_heads": 1}),
-    "no_lstm": ("w/o LSTM", {"use_alloc_lstm": False}),
-    "no_crisis": ("w/o Crisis Features",
-                  {"n_features": N_FEATURES - len(CRISIS_FEATURES)}),
-}
 _RANDOM_ROW = "Random Selection"
-ABLATION_NAMES = [row for row, _ in VARIANTS.values()] + [_RANDOM_ROW]
+ABLATION_NAMES = [*VARIANTS.values(), _RANDOM_ROW]
 
 
 def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
@@ -450,16 +438,15 @@ def ablation_suite(universe: Universe, book: AssetBook, prior: PriorGraph,
                    ) -> list[tuple[str, MetricSet]]:
     """Train and evaluate each model variant, then the random-selection row.
 
-    Raises ``ValueError``, before any training, if two variants build the
-    same model under ``base_config`` (one that already drops the crisis
-    features, say), since their rows would repeat under two labels.
+    Each variant's row is ``base_config`` with that variant.  A base that is
+    not the full model raises ``ValueError`` before any training, since its
+    row would repeat under the full model's label.
     """
     base = base_config or ModelConfig(n_assets=universe.n_assets)
-    configs = {name: replace(base, **overrides) for name, overrides in VARIANTS.values()}
-    for first, second in combinations(configs, 2):
-        if configs[first] == configs[second]:
-            raise ValueError(f"ablation rows {first!r} and {second!r} build the same "
-                             f"model under this base config")
+    if base.variant != "full":
+        raise ValueError(f"ablation base config must be the 'full' variant, "
+                         f"got {base.variant!r}")
+    configs = {row: replace(base, variant=name) for name, row in VARIANTS.items()}
     defensive = book.defensive_mask(universe.tickers)
     rows: list[tuple[str, MetricSet]] = []
     for name in [*configs, _RANDOM_ROW]:

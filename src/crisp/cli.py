@@ -29,7 +29,6 @@ import numpy as np
 
 from .backtest import (
     ABLATION_NAMES,
-    VARIANTS,
     ablation_csv,
     ablation_suite,
     crisp_strategy,
@@ -44,7 +43,7 @@ from .data import (RegimeConfig, Universe, generate_synthetic, load_csv, make_wi
                    save_csv)
 from .features import roster_csv
 from .graphattn import sparsity_report, telemetry_csv
-from .model import ModelConfig
+from .model import VARIANTS, ModelConfig
 from .objectives import LossWeights
 from .spatial import PriorGraph, build_prior
 from .training import TrainConfig, load_checkpoint, save_checkpoint
@@ -113,12 +112,14 @@ _BASELINES = {
     "random_selection": lambda b: random_selection(seed=b["random_seed"]),
 }
 
-_CONVENTIONS = {
-    "returns": "simple daily returns, no dividends",
-    "rebalancing": "weights held fixed within each 5-day period (no drift)",
-    "costs": "no transaction costs or slippage",
-    "max_drawdown": "reported as a negative fraction",
-}
+
+def _conventions(horizon: int) -> dict[str, str]:
+    return {
+        "returns": "simple daily returns, no dividends",
+        "rebalancing": f"weights held fixed within each {horizon}-day period (no drift)",
+        "costs": "no transaction costs or slippage",
+        "max_drawdown": "reported as a negative fraction",
+    }
 
 
 def _coerce(section: str, key: str, kind: str, raw: str):
@@ -128,13 +129,6 @@ def _coerce(section: str, key: str, kind: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise UsageError(
@@ -170,8 +164,6 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
 
 
 def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -323,10 +315,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.variant is not None:
-        if args.variant not in VARIANTS:
-            raise UsageError(f"unknown variant {args.variant!r} "
-                             f"(known: {', '.join(VARIANTS)})")
-        cfg["model"].update(VARIANTS[args.variant][1])
+        cfg["model"]["variant"] = args.variant
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
 
@@ -401,7 +390,7 @@ def cmd_backtest(args) -> int:
         "test_days": len(test_windows) * cfg["data"]["horizon"],
         "periods": len(test_windows),
         "boundary_day": boundary,
-        "conventions": _CONVENTIONS,
+        "conventions": _conventions(cfg["data"]["horizon"]),
         "strategies": {},
     }
     for strat in strategies:
@@ -446,6 +435,9 @@ def cmd_ablate(args) -> int:
 
     book = _load_book(cfg)
     regime, model_config, train_config, loss_weights = _configs(cfg, book)
+    if model_config.variant != "full":      # each row sets its own variant
+        raise UsageError(f"[model] variant must be 'full' for ablate, "
+                         f"got {model_config.variant!r}")
     universe = _build_universe(cfg, book, regime)
     train_windows, test_windows, _ = _plan_windows(cfg, universe)
     prior = _prior(book, universe)

@@ -6,10 +6,12 @@ The graph attention refines every step; the residual adds half the
 refinement to the temporal half, and the allocation LSTM consumes the
 refined sequence.  The spatial half is the same at every step, so it is
 never copied across time: every map that reads the joined embedding splits
-its weight rows and adds the spatial term once per window.  The ablation
-variants (single-head graph attention, mean-pool aggregation, static
-correlation graph, reduced feature set) are config switches so the trainer
-and backtester treat all of them uniformly.
+its weight rows and adds the spatial term once per window.  A model is one
+of the named ``VARIANTS``: the full model, or the full model less one
+component (the learned graph, replaced by a static correlation graph;
+multi-head attention, cut to one head; the allocation LSTM, replaced by a
+mean pool; the four crisis features).  ``ModelConfig.variant`` is the one
+switch, so the trainer and backtester treat every variant uniformly.
 
 Training and every no-grad forward (``allocate``, which serves
 walk-forward, backtests and ablations, and the training loop's validation)
@@ -31,33 +33,48 @@ import numpy as np
 
 from .allocation import AllocationHead
 from .autodiff import ParameterBag, Tensor, matmul, no_grad, precision, uniform_init
-from .features import feature_columns
-from .graphattn import REFINED, GatLayer
+from .features import CRISIS_FEATURES, N_FEATURES
+from .graphattn import GatLayer
 from .nn import joined_matmul
 from .spatial import SpatialEncoder
 from .temporal import TemporalEncoder
 
-__all__ = ["ENCODER_DTYPE", "CrispModel", "ModelConfig"]
+__all__ = ["ENCODER_DTYPE", "VARIANTS", "CrispModel", "ModelConfig"]
 
 # the temporal encoder's dtype in training and inference
 ENCODER_DTYPE = np.float32
+
+# variant name -> its row in the ablation table
+VARIANTS = {
+    "full": "Full CRISP",
+    "static": "w/o Learnable Graph",
+    "single_head": "w/o Multi-Head Attn",
+    "no_lstm": "w/o LSTM",
+    "no_crisis": "w/o Crisis Features",
+}
 
 
 @dataclass
 class ModelConfig:
     n_assets: int = 13
-    n_features: int = 31
     window: int = 20
-    gat_heads: int = 4
-    use_alloc_lstm: bool = True
-    static_graph: bool = False
+    variant: str = "full"
     init_seed: int = 0
 
     def __post_init__(self):
-        feature_columns(self.n_features)        # raises on a width the roster lacks
-        if self.gat_heads < 1 or REFINED % self.gat_heads:
-            raise ValueError(
-                f"{self.gat_heads} heads do not divide refined width {REFINED}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r} "
+                             f"(known: {', '.join(VARIANTS)})")
+
+    @property
+    def n_features(self) -> int:
+        if self.variant == "no_crisis":
+            return N_FEATURES - len(CRISIS_FEATURES)
+        return N_FEATURES
+
+    @property
+    def static_graph(self) -> bool:
+        return self.variant == "static"
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -80,9 +97,10 @@ class CrispModel:
                 "static.w", uniform_init(rng, 256, (256, 128)))
             self.gat = None
         else:
-            self.gat = GatLayer(self.bag, rng, n_heads=config.gat_heads)
+            self.gat = GatLayer(self.bag, rng,
+                                n_heads=1 if config.variant == "single_head" else 4)
             self.w_static = None
-        self.head = AllocationHead(self.bag, rng, use_lstm=config.use_alloc_lstm)
+        self.head = AllocationHead(self.bag, rng, use_lstm=config.variant != "no_lstm")
 
     # -- parameter plumbing ---------------------------------------------------
 

@@ -37,14 +37,6 @@ class PriorGraph:
         self.adjacency = adjacency
         self.normalized = normalize_adjacency(adjacency)
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
-
-    def edge_count(self) -> int:
-        """Undirected prior edge count."""
-        return int(self.adjacency.sum()) // 2
-
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric normalization with self-loops: D^{-1/2} (A + I) D^{-1/2}."""

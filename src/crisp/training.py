@@ -132,7 +132,10 @@ def clip_gradients(params, max_norm: float) -> tuple[float, bool]:
 
 @dataclass
 class Checkpoint:
-    """Complete training state at an epoch boundary."""
+    """A trained model as served: its config, best parameters and feature
+    normalizer.  The last parameters and the Adam, epoch and RNG state of the
+    last epoch ride along, but nothing reads them back: no run resumes from a
+    checkpoint."""
 
     model_config: ModelConfig
     best_params: dict[str, np.ndarray]
@@ -162,7 +165,12 @@ class Checkpoint:
 # the scalar fields beside the config, its hash and the array index.
 _SECTIONS = {"best_params": "best", "last_params": "last", "adam_m": "m",
              "adam_v": "v", "normalizer": "extra"}
-_HEADER_FIELDS = ("epoch", "best_val", "bad_epochs", "adam_t", "rng_state", "diverged")
+# Each header entry maps to the JSON types it may hold; config values hold
+# the types of ModelConfig's defaults.
+_HEADER_FIELDS = {"epoch": (int,), "best_val": (float, type(None)), "bad_epochs": (int,),
+                  "adam_t": (int,), "rng_state": (dict,), "diverged": (bool,)}
+_HEADER_TYPES = {"config": (dict,), "config_hash": (str,), "arrays": (list,),
+                 **_HEADER_FIELDS}
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
@@ -190,6 +198,12 @@ def _same_keys(path: str, what: str, stored, known) -> None:
                          + (f"; missing {missing}" if missing else ""))
 
 
+def _check_type(path: str, what: str, value, kinds: tuple[type, ...]) -> None:
+    if type(value) not in kinds:       # exact: a JSON true is no int here
+        raise ValueError(f"{path}: {what} has type {type(value).__name__}, not "
+                         + " or ".join(k.__name__ for k in kinds))
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a departure from its layout raises ``ValueError``."""
     with open(path, "rb") as fh:
@@ -210,15 +224,20 @@ def load_checkpoint(path: str) -> Checkpoint:
         except (TypeError, ValueError):
             raise ValueError(f"{path}: checkpoint header is not a JSON object") from None
         _same_keys(path, "header keys differ from the checkpoint schema", header,
-                   {"config", "config_hash", "arrays", *_HEADER_FIELDS})
+                   _HEADER_TYPES)
+        for key, kinds in _HEADER_TYPES.items():
+            _check_type(path, f"header {key!r}", header[key], kinds)
         tables: dict[str, dict[str, np.ndarray]] = {s: {} for s in _SECTIONS.values()}
-        for meta in header["arrays"]:
+        for i, meta in enumerate(header["arrays"]):
+            _check_type(path, f"header 'arrays'[{i}]", meta, (dict,))
             name, section, shape = meta.get("name"), meta.get("section"), meta.get("shape")
+            _check_type(path, f"header 'arrays'[{i}] name", name, (str,))
+            _check_type(path, f"header 'arrays'[{i}] section", section, (str,))
             if section not in tables or name in tables[section]:
                 raise ValueError(f"{path}: array {name!r} has an unknown or "
                                  f"repeated section {section!r}")
             if not (isinstance(shape, list)
-                    and all(isinstance(d, int) and d >= 0 for d in shape)):
+                    and all(type(d) is int and d >= 0 for d in shape)):
                 raise ValueError(f"{path}: array {name!r} has a bad shape {shape!r}")
             buf = read(8 * math.prod(shape), f"array {name!r}")
             arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
@@ -229,6 +248,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: trailing bytes after the last array")
     _same_keys(path, "config keys differ from ModelConfig's fields",
                header["config"], (f.name for f in fields(ModelConfig)))
+    defaults = ModelConfig()
+    for key, value in header["config"].items():
+        _check_type(path, f"config {key!r}", value, (type(getattr(defaults, key)),))
     try:
         config = ModelConfig(**header["config"])
     except ValueError as exc:

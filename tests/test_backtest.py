@@ -631,7 +631,7 @@ def test_static_graph_strategy_notes_an_empty_graph_without_attention(
         trained_checkpoint, small_universe, book, prior, monkeypatch):
     monkeypatch.setattr(backtest, "static_adjacency_at",
                         lambda universe, end: (np.eye(universe.n_assets), True))
-    config = replace(trained_checkpoint.model_config, static_graph=True)
+    config = replace(trained_checkpoint.model_config, variant="static")
     static = replace(trained_checkpoint, model_config=config,
                      best_params=CrispModel(config).state())
     defensive = book.defensive_mask(small_universe.tickers)
@@ -688,16 +688,14 @@ def test_ablation_names_and_csv():
     assert lines[1].startswith('"Full CRISP",1,2,0.1,')
 
 
-@pytest.mark.parametrize("base, rows", [
-    ({"n_features": 27}, "'Full CRISP' and 'w/o Crisis Features'"),
-    ({"gat_heads": 1}, "'Full CRISP' and 'w/o Multi-Head Attn'"),
-], ids=["crisisless", "single_head"])
+@pytest.mark.parametrize("variant", ["no_crisis", "single_head"],
+                         ids=["crisisless", "single_head"])
 def test_ablation_suite_rejects_a_base_that_repeats_a_row(
-        monkeypatch, small_universe, book, prior, base, rows):
+        monkeypatch, small_universe, book, prior, variant):
     def no_training(*args):
         raise AssertionError("ablation_suite trained before checking its rows")
 
     monkeypatch.setattr(backtest, "train_on_universe", no_training)
-    config = ModelConfig(n_assets=small_universe.n_assets, **base)
-    with pytest.raises(ValueError, match=rows):
+    config = ModelConfig(n_assets=small_universe.n_assets, variant=variant)
+    with pytest.raises(ValueError, match=f"must be the 'full' variant, got '{variant}'"):
         backtest.ablation_suite(small_universe, book, prior, [], [], TrainConfig(), config)

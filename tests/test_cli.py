@@ -11,6 +11,7 @@ from crisp import backtest, cli
 from crisp.cli import UsageError, echo_config, load_config, main
 from crisp.data import RegimeConfig, generate_synthetic
 from crisp.features import N_FEATURES
+from crisp.model import VARIANTS
 from crisp.training import TrainConfig
 
 
@@ -53,10 +54,7 @@ crisis_mean = -0.002
 defensive_vol_factor = 0.4
 
 [model]
-n_features = 31
-gat_heads = 4
-use_alloc_lstm = true
-static_graph = false
+variant = full
 init_seed = 0
 
 [train]
@@ -96,11 +94,11 @@ def test_defaults_cover_every_key():
     assert set(cfg) == {"data", "synthetic", "model", "train", "loss", "backtest"}
     assert cfg["data"]["window"] == 20
     assert cfg["data"]["horizon"] == 5
-    assert cfg["model"]["n_features"] == N_FEATURES
+    assert cfg["model"]["variant"] == "full"
     assert cfg["train"]["max_epochs"] == 200
     assert cfg["loss"]["sharpe"] == 0.4
     assert list(cfg["loss"]) == ["sharpe", "sortino", "risk", "diversification", "turnover"]
-    assert sum(len(keys) for keys in cfg.values()) == 41
+    assert sum(len(keys) for keys in cfg.values()) == 38
 
 
 def test_overrides_are_coerced(tmp_path):
@@ -109,14 +107,14 @@ def test_overrides_are_coerced(tmp_path):
 batch_size = 8
 
 [model]
-static_graph = yes
+init_seed = 3
 
 [loss]
 sharpe = 0.5
 """)
     cfg = load_config(path)
     assert cfg["train"]["batch_size"] == 8
-    assert cfg["model"]["static_graph"] is True
+    assert cfg["model"]["init_seed"] == 3
     assert cfg["loss"]["sharpe"] == 0.5
     # untouched keys keep their defaults
     assert cfg["train"]["patience"] == 15
@@ -126,7 +124,11 @@ sharpe = 0.5
     ("[nonsense]\nx = 1\n", "unknown config section"),
     ("[train]\nwarmup = 5\n", "unknown config key"),
     ("[train]\nbatch_size = fast\n", "not a valid int"),
-    ("[model]\nstatic_graph = maybe\n", "not a valid bool"),
+    # the switches that the variant replaced
+    ("[model]\nn_features = 27\n", "unknown config key [model] n_features"),
+    ("[model]\ngat_heads = 1\n", "unknown config key [model] gat_heads"),
+    ("[model]\nuse_alloc_lstm = false\n", "unknown config key [model] use_alloc_lstm"),
+    ("[model]\nstatic_graph = true\n", "unknown config key [model] static_graph"),
     # keys that were fixed constants, or the defensive set the asset book owns
     ("[loss]\nrisk_free_daily = 0.0\n", "unknown config key [loss] risk_free_daily"),
     ("[loss]\ncvar_alpha = 0.05\n", "unknown config key [loss] cvar_alpha"),
@@ -152,7 +154,7 @@ def test_echo_round_trip(tmp_path):
     cfg = load_config(None)
     cfg["train"]["batch_size"] = 7
     cfg["loss"]["risk"] = 0.1
-    cfg["model"]["use_alloc_lstm"] = False
+    cfg["model"]["variant"] = "no_lstm"
     path = echo_config(cfg, str(tmp_path))
     assert load_config(path) == cfg
 
@@ -169,7 +171,7 @@ class _Stop(Exception):
 
 @pytest.mark.parametrize("model_section, repeated", [
     ("", None),
-    ("[model]\nn_features = 27\n", "'Full CRISP' and 'w/o Crisis Features'"),
+    ("[model]\nvariant = no_crisis\n", "must be the 'full' variant, got 'no_crisis'"),
 ], ids=["default", "crisisless_base"])
 def test_train_variant_and_ablation_build_equal_model_configs(
         tmp_path, monkeypatch, capsys, book, prior, small_universe, model_section, repeated):
@@ -181,21 +183,32 @@ def test_train_variant_and_ablation_build_equal_model_configs(
 
     cfg = write(tmp_path, SMALL_RUN + model_section)
     monkeypatch.setattr(cli, "train_on_universe", record)
-    for variant in backtest.VARIANTS:
+    # --variant sets [model] variant, whatever the file says
+    for variant in VARIANTS:
         assert main(["train", "--config", cfg, "--variant", variant,
                      "--out", str(tmp_path / variant)]) == 1
     from_cli = list(seen)
     seen.clear()
 
+    base = cli._configs(load_config(cfg), book)[1]
     monkeypatch.setattr(backtest, "train_on_universe", record)
-    for row, _ in backtest.VARIANTS.values():
-        # a base that already is one variant makes two rows the same model
+    for row in VARIANTS.values():
+        # a base that already is one variant would repeat that row as the full model
         with pytest.raises(ValueError if repeated else _Stop, match=repeated):
             backtest.ablation_suite(small_universe, book, prior, [], [], TrainConfig(),
-                                    from_cli[0], only=[row])
+                                    base, only=[row])
     assert seen == ([] if repeated else from_cli)
-    assert len(from_cli) == len(backtest.VARIANTS)
+    assert [c.variant for c in from_cli] == list(VARIANTS)
     capsys.readouterr()
+
+
+def test_ablate_rejects_a_variant_base(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_RUN + "[model]\nvariant = static\n")
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+    assert ("error: [model] variant must be 'full' for ablate, got 'static'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_default_market_damps_exactly_the_books_defensive_assets(book):
@@ -233,7 +246,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, value, message", [
     ("train", "clip_norm", 0, "clip_norm must be positive, got 0.0"),
-    ("model", "gat_heads", 3, "3 heads do not divide refined width 128"),
+    ("model", "variant", "bogus",
+     "unknown variant 'bogus' (known: full, static, single_head, no_lstm, no_crisis)"),
     ("synthetic", "crisis_vol", -1, "crisis_vol must be positive, got -1.0"),
     ("synthetic", "days", 1, "need at least 2 days, got 1"),
     ("backtest", "mv_lookback", -5, "mean_variance: lookback must be >= 2 days, got -5"),
@@ -242,7 +256,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
      "mean_variance: risk_aversion must be finite and >= 0, got -1.0"),
     ("backtest", "mv_risk_aversion", "nan",
      "mean_variance: risk_aversion must be finite and >= 0, got nan"),
-], ids=["clip_norm", "gat_heads", "crisis_vol", "days", "mv_lookback", "rp_lookback", "mv_risk_aversion", "mv_risk_aversion_nan"])
+], ids=["clip_norm", "variant", "crisis_vol", "days", "mv_lookback", "rp_lookback", "mv_risk_aversion", "mv_risk_aversion_nan"])
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, section, key,
                                                      value, message):
     # the dataclasses and baselines are built before any data work, so no
@@ -359,6 +373,18 @@ def test_train_then_backtest_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_metrics_conventions_name_the_horizon(tmp_path, capsys):
+    cfg = write(tmp_path, "[data]\nhorizon = 10\n[synthetic]\ndays = 160\n"
+                          "[backtest]\nstrategies = equal_weight\n")
+    out = tmp_path / "bt"
+    assert main(["backtest", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "metrics.json").read_text())
+    assert summary["test_days"] == 10 * summary["periods"]
+    assert (summary["conventions"]["rebalancing"]
+            == "weights held fixed within each 10-day period (no drift)")
+    capsys.readouterr()
+
+
 def test_backtest_echoes_only_the_sections_it_reads(tmp_path, capsys):
     def sections(echoed):
         return [line for line in echoed.read_text().splitlines() if line.startswith("[")]
@@ -376,9 +402,8 @@ def test_backtest_echoes_only_the_sections_it_reads(tmp_path, capsys):
         assert (again / artifact).read_bytes() == (first / artifact).read_bytes()
 
     ck = str(tmp_path / "train" / "checkpoint.bin")
-    # the CRISP row runs the checkpoint's 4-head learned-graph model, not this
-    other = write(tmp_path, SMALL_RUN + "\n[model]\ngat_heads = 1\nstatic_graph = true\n",
-                  name="other.ini")
+    # the CRISP row runs the checkpoint's full model, not this static one
+    other = write(tmp_path, SMALL_RUN + "\n[model]\nvariant = static\n", name="other.ini")
     first, again = tmp_path / "bt", tmp_path / "again"
     assert main(["backtest", "--config", other, "--out", str(first), "--checkpoint", ck]) == 0
     echoed = first / "resolved_config.ini"

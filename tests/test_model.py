@@ -1,9 +1,10 @@
 """The model's forward against the joined-embedding composition, its float32
-precision policy in training and inference, and its memory."""
+precision policy in training and inference, its memory, and its variants."""
 
 import math
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,14 +16,13 @@ from crisp.autodiff import (Tensor, concat, dropout, leaky_relu, matmul, no_grad
                             softmax)
 from crisp.data import make_windows
 from crisp.graphattn import LEAKY_SLOPE
-from crisp.model import ENCODER_DTYPE, CrispModel, ModelConfig
+from crisp.model import ENCODER_DTYPE, VARIANTS, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
 from crisp.training import AdamState, TrainConfig, adam_step, clip_gradients
 
 from test_nn import composed_lstm
 
-VARIANTS = [{}, {"static_graph": True}, {"gat_heads": 1}, {"use_alloc_lstm": False},
-            {"n_features": 27}]
+# test ids for VARIANTS, in its order
 VARIANT_IDS = ["default", "static_graph", "single_head", "no_alloc_lstm", "no_crisis"]
 
 
@@ -92,7 +92,7 @@ def joined_forward(model, features, prior_adjacency, rng, training,
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
 def test_forward_matches_joined_composition(prior, variant):
-    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    model = CrispModel(ModelConfig(init_seed=3, variant=variant))
     gen = np.random.default_rng(5)
     b, n, steps = 3, model.config.n_assets, 6
     x = gen.standard_normal((b, n, steps, model.config.n_features))
@@ -208,10 +208,9 @@ def test_default_policy_builds_no_cast_node(prior):
     assert all(node.op != "cast" for node in _graph(loss))
 
 
-@pytest.mark.parametrize("variant", [v for _, v in backtest.VARIANTS.values()],
-                         ids=list(backtest.VARIANTS))
+@pytest.mark.parametrize("variant", list(VARIANTS))
 def test_float32_step_gradients_match_float64(prior, variant):
-    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    model = CrispModel(ModelConfig(init_seed=3, variant=variant))
     grads = {}
     for dtype in (np.float64, np.float32):
         loss = _b16_step(model, prior, dtype)
@@ -286,10 +285,9 @@ def _assert_allocate_matches_float64(model, x, prior_adjacency, static=None):
     return got_w, got_a
 
 
-@pytest.mark.parametrize("variant", [v for _, v in backtest.VARIANTS.values()],
-                         ids=list(backtest.VARIANTS))
+@pytest.mark.parametrize("variant", list(VARIANTS))
 def test_allocate_matches_the_float64_forward(prior, variant):
-    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    model = CrispModel(ModelConfig(init_seed=3, variant=variant))
     x, static = _window_inputs(model)
     _assert_allocate_matches_float64(model, x, prior.normalized, static)
 
@@ -330,3 +328,17 @@ def test_saturated_float32_gates_warn_nothing(prior):
     assert np.isfinite(weights).all() and np.isfinite(alphas).all()
     assert abs(weights.sum() - 1.0) <= 1e-9
     assert weights.min() >= WEIGHT_FLOOR - 1e-9 and weights.max() <= WEIGHT_CAP + 1e-9
+
+
+def test_variants_build_pairwise_different_parameter_sets():
+    # the guard against two ablation rows training the same model
+    layouts = {name: {p.name: p.data.shape for p in
+                      CrispModel(ModelConfig(variant=name)).parameters()}
+               for name in VARIANTS}
+    for first, second in combinations(VARIANTS, 2):
+        assert layouts[first] != layouts[second], (first, second)
+
+
+def test_model_config_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match=r"unknown variant 'static_graph' \(known: full, "):
+        ModelConfig(variant="static_graph")

@@ -13,7 +13,7 @@ from crisp.autodiff import Parameter, grad_enabled
 from crisp.backtest import attach_features
 from crisp.data import make_windows
 from crisp.features import feature_columns
-from crisp.model import ENCODER_DTYPE, CrispModel, ModelConfig
+from crisp.model import ENCODER_DTYPE, VARIANTS, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
 from crisp.training import (
     AdamState,
@@ -211,13 +211,22 @@ def _edit_header(data, edit):
     return data[:12] + struct.pack("<Q", len(raw)) + raw + data[20 + hlen:]
 
 
+def _switch_config(header):
+    del header["config"]["variant"]
+    header["config"].update(n_features=31, gat_heads=4, use_alloc_lstm=True,
+                            static_graph=False)
+
+
 @pytest.mark.parametrize("edit,match", [
     # every checkpoint written while the pooled route existed carries this key
     (lambda h: h["config"].update(per_step_graph=True), r"unknown \['per_step_graph'\]"),
-    (lambda h: h["config"].pop("gat_heads"), r"missing \['gat_heads'\]"),
+    (lambda h: h["config"].pop("variant"), r"missing \['variant'\]"),
     # every checkpoint written while ModelConfig had its unread horizon
     (lambda h: h["config"].update(horizon=5), r"unknown \['horizon'\]"),
-], ids=["unknown_key", "missing_key", "horizon_key"])
+    # every checkpoint written before the variant was the model's one switch
+    (_switch_config, r"unknown \['gat_heads', 'n_features', 'static_graph', "
+                     r"'use_alloc_lstm'\]; missing \['variant'\]"),
+], ids=["unknown_key", "missing_key", "horizon_key", "switch_keys"])
 def test_checkpoint_config_keys_must_match_model_config(trained, tmp_path, edit, match):
     _, result = trained
     p = tmp_path / "k.bin"
@@ -273,6 +282,31 @@ def test_checkpoint_header_edits_are_rejected(tmp_path_factory, tiny_blob, edit,
     _rejected(tmp_path_factory, _edit_header(tiny_blob, edit), match)
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h.update(arrays=5), "header 'arrays' has type int, not list"),
+    (lambda h: h["arrays"].insert(0, "best"),
+     r"header 'arrays'\[0\] has type str, not dict"),
+    (lambda h: h["arrays"][1].update(name=["a"]),
+     r"header 'arrays'\[1\] name has type list, not str"),
+    (lambda h: h["arrays"][2].update(section=["best"]),
+     r"header 'arrays'\[2\] section has type list, not str"),
+    (lambda h: h["arrays"][0].update(shape=[True, 3]), r"bad shape \[True, 3\]"),
+    (lambda h: h.update(config=list(h["config"])), "header 'config' has type list, not dict"),
+    (lambda h: h["config"].update(window=20.0), "config 'window' has type float, not int"),
+    (lambda h: h["config"].update(n_assets=True), "config 'n_assets' has type bool, not int"),
+    (lambda h: h["config"].update(variant=[]), "config 'variant' has type list, not str"),
+    (lambda h: h["config"].update(init_seed="x"), "config 'init_seed' has type str, not int"),
+    (lambda h: h.update(epoch="x"), "header 'epoch' has type str, not int"),
+    (lambda h: h.update(best_val="x"), "header 'best_val' has type str, not float or NoneType"),
+    (lambda h: h.update(diverged=0), "header 'diverged' has type int, not bool"),
+], ids=["arrays", "array_entry", "array_name", "array_section", "array_shape", "config",
+        "config_float",
+        "config_bool", "variant", "init_seed", "epoch", "best_val", "diverged"])
+def test_checkpoint_header_of_the_wrong_type_is_rejected(tmp_path_factory, tiny_blob,
+                                                         edit, match):
+    _rejected(tmp_path_factory, _edit_header(tiny_blob, edit), match)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_checkpoint_with_non_finite_array_is_rejected(tmp_path_factory, tiny_blob, bad):
     # the first array holding 7.0 is best_params' "c"
@@ -292,13 +326,12 @@ def test_checkpoint_feature_normalizer(trained, windows):
 
 # -- training loop ------------------------------------------------------------
 
-@pytest.mark.parametrize("variant", [
-    {}, {"static_graph": True}, {"gat_heads": 1}, {"use_alloc_lstm": False},
-    {"n_features": 27},
-], ids=["default", "static_graph", "single_head", "no_alloc_lstm", "no_crisis"])
+@pytest.mark.parametrize("variant", list(VARIANTS),
+                         ids=["default", "static_graph", "single_head", "no_alloc_lstm",
+                              "no_crisis"])
 def test_training_step_reaches_every_parameter(prior, variant):
     gen = np.random.default_rng(7)
-    model = CrispModel(ModelConfig(init_seed=3, **variant))
+    model = CrispModel(ModelConfig(init_seed=3, variant=variant))
     b, n, steps = 4, model.config.n_assets, 6
     x = gen.standard_normal((b, n, steps, model.config.n_features))
     static = None
@@ -364,7 +397,7 @@ def test_validation_tail_excluded_from_normalizer(windows, prior):
 
 def test_crisisless_train_fits_normalizer_on_kept_columns(windows, prior):
     # windows cache the full roster; the 27-input model reads its own columns
-    model = CrispModel(ModelConfig(n_features=27, init_seed=0))
+    model = CrispModel(ModelConfig(variant="no_crisis", init_seed=0))
     cfg = quick_config(learning_rate=0.0, lr_min=0.0, max_epochs=1)
     result = train(model, windows, prior.normalized, cfg)
     keep = feature_columns(27)
@@ -440,7 +473,7 @@ def test_train_input_validation(windows, prior):
         w.features = None
     with pytest.raises(ValueError, match="features"):
         train(model, bare, prior.normalized, quick_config(batch_size=4))
-    static_model = CrispModel(ModelConfig(static_graph=True))
+    static_model = CrispModel(ModelConfig(variant="static"))
     with pytest.raises(ValueError, match="adjacenc"):
         train(static_model, windows, prior.normalized, quick_config())
 
