@@ -22,13 +22,19 @@ Design notes:
   The model sets a float32 policy for its temporal encoder in training
   and in every no-grad forward (``model.ENCODER_DTYPE``); gradient checks
   and direct ``forward`` calls run at the default.
-  Ops take their dtype from their operands; a float32 op must combine with
-  Python scalars only, since a 0-d float64 array upcasts it under NEP 50.
+  Ops take their dtype from their operands.  A Python number takes the
+  dtype of the tensor it combines with, as numpy's weak scalars do
+  (NEP 50), so ``x * 0.5`` on a float32 ``x`` stays float32.
 * Only leaves keep ``.grad``: parameters and user tensors created with
   ``requires_grad=True``.  Each interior gradient is freed as soon as its
   node's backward has run, so an interior tensor's ``.grad`` stays ``None``.
-* Leaf gradients accumulate across repeated backward calls; call
-  :meth:`Tensor.zero_grad` (or ``Model.zero_grads``) between steps.
+* :func:`backward` consumes the graph: each node drops its parents and its
+  closure (with the arrays it saved) once its backward has run, so a
+  second call on the same graph raises.  Leaf gradients accumulate across
+  backward calls on fresh graphs; call :meth:`Tensor.zero_grad` (or
+  ``Model.zero_grads``) between steps.  Where the C library has
+  ``mallopt`` (glibc), backward fixes its thresholds so the heap it frees
+  stays in the process for the next step.
 * ``clip`` passes gradient 1 inside the bounds and 0 outside.
 * Dropout uses inverted scaling at train time so eval mode is the identity.
 """
@@ -36,6 +42,7 @@ Design notes:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -62,6 +69,22 @@ __all__ = [
 _GRAD_ENABLED = True
 _DTYPE = np.dtype(np.float64)
 _FLOAT32 = np.dtype(np.float32)
+# glibc's mallopt parameters (malloc.h) and the values backward sets: an
+# mmap threshold at the most glibc's adaptive one reaches, and a trim
+# threshold above a training step's heap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 1 << 30
+
+
+def _find_mallopt():
+    """The C library's ``mallopt``, or None where it has none."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+_MALLOPT = _find_mallopt()
 
 
 @contextlib.contextmanager
@@ -101,6 +124,13 @@ def _is_basic_key(key) -> bool:
     items = key if isinstance(key, tuple) else (key,)
     return all(isinstance(k, (int, np.integer, slice, type(None), type(Ellipsis)))
                for k in items)
+
+
+def _operand(value, like: "Tensor") -> "Tensor":
+    """``value`` as a Tensor; a Python number gets ``like``'s dtype."""
+    if isinstance(value, (int, float)):
+        return Tensor(np.asarray(value, dtype=like.dtype))
+    return as_tensor(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -181,7 +211,7 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self, as_tensor(other)
+        a, b = self, _operand(other, self)
         out_data = a.data + b.data
 
         def bwd(g):
@@ -193,7 +223,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self, as_tensor(other)
+        a, b = self, _operand(other, self)
         out_data = a.data - b.data
 
         def bwd(g):
@@ -203,10 +233,10 @@ class Tensor:
         return Tensor._from_op(out_data, (a, b), "sub", bwd)
 
     def __rsub__(self, other):
-        return as_tensor(other) - self
+        return _operand(other, self) - self
 
     def __mul__(self, other):
-        a, b = self, as_tensor(other)
+        a, b = self, _operand(other, self)
         out_data = a.data * b.data
 
         def bwd(g):
@@ -218,7 +248,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self, as_tensor(other)
+        a, b = self, _operand(other, self)
         out_data = a.data / b.data
 
         def bwd(g):
@@ -483,14 +513,18 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     out_data = np.where(mask, x.data, slope * x.data)
 
     def bwd(g):
-        return (g * np.where(mask, 1.0, slope),)
+        # inline on purpose: numpy may reuse a large temporary factor as the
+        # product's buffer, which then has the mask's memory layout, and
+        # that layout fixes the summation order of later reductions
+        return (g * np.where(mask, 1.0, slope).astype(g.dtype, copy=False),)
 
     return Tensor._from_op(out_data, (x,), "leaky_relu", bwd)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; the larger operand receives the gradient (ties go to `a`)."""
-    a, b = as_tensor(a), as_tensor(b)
+    a = as_tensor(a)
+    b = _operand(b, a)
     take_a = a.data >= b.data
     out_data = np.where(take_a, a.data, b.data)
 
@@ -520,18 +554,27 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
         raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
     x = as_tensor(x)
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    return x * Tensor(mask.astype(x.dtype, copy=False))
+
+
+def _consumed(g):
+    raise RuntimeError("this graph was already consumed by backward")
 
 
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss; the one place gradients are summed.
 
     Leaves that require grad add in place into their own ``.grad``, so
-    repeated calls without ``zero_grad`` add up.  An interior gradient lives
-    in a local table until its node's backward has run, so an interior
-    tensor's ``.grad`` stays ``None``.  Its first contribution is kept by
-    reference and each later one makes a fresh sum, so a buffer an op hands
-    to two parents is never written.  Raises unless the loss is a scalar.
+    calls on fresh graphs without ``zero_grad`` add up.  An interior
+    gradient lives in a local table until its node's backward has run, so
+    an interior tensor's ``.grad`` stays ``None``.  Its first contribution
+    is kept by reference and each later one makes a fresh sum, so a buffer
+    an op hands to two parents is never written.  Once a node's backward
+    has run, the node drops its closure and its parents, so what only it
+    kept is freed while backward goes on; the nodes still to run stay
+    referenced from the topological order, which keeps the id-keyed table
+    valid.  Calling it again on the consumed graph raises ``RuntimeError``.
+    Raises ``ValueError`` unless the loss is a scalar.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -564,14 +607,27 @@ def backward(loss: Tensor) -> None:
             prev = grads.get(id(t))
             grads[id(t)] = g if prev is None else prev + g
 
-    add(loss, np.ones_like(loss.data))
-    for node in reversed(order):
+    def run(node: Tensor) -> None:
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is not None and parent.requires_grad:
-                add(parent, pg)
+        parents, bwd = node._parents, node._backward
+        node._parents, node._backward = (), _consumed
+        if g is not None:
+            for parent, pg in zip(parents, bwd(g)):
+                if pg is not None and parent.requires_grad:
+                    add(parent, pg)
+
+    add(loss, np.ones_like(loss.data))
+    if loss._backward is None:      # a leaf loss: nothing to run or consume
+        return
+    if _MALLOPT is not None:
+        # the graph is freed as backward goes, so a step ends with the heap
+        # top free; glibc's adaptive thresholds return it to the OS, and the
+        # next forward faults it back in page by page.  Fixed thresholds
+        # keep it for reuse
+        _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        _MALLOPT(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    while order:
+        run(order.pop())
 
 
 class Parameter(Tensor):

@@ -14,8 +14,12 @@ attention-weighted sums.  Two parameters hold every head: ``gat.w`` is
 heads at once, and ``gat.a`` is (heads, 2 * head_dim) with a_k as row k.
 The spatial half is the same at every step, so W z is computed as
 temporal @ W_top + spatial @ W_bottom with the second term broadcast over
-time; the joined input is never built.  No hard threshold is applied
-anywhere; sparsity is an emergent, reported property.
+time; the joined input is never built.  Everything after that product
+(scores, LeakyReLU, softmax, the attention-weighted mix) is one autodiff
+node tagged ``gat``: it keeps only the alphas and the LeakyReLU mask for
+its hand-written backward, which repeats the composed ops' arithmetic in
+their order.  No hard threshold is applied anywhere; sparsity is an
+emergent, reported property.
 
 An ``AttentionRecord`` keeps one rebalance's alphas and nothing derived
 from them.  ``sparsity_report`` is the one place attention statistics are
@@ -31,13 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterBag, Tensor, leaky_relu, matmul, softmax, uniform_init
+from .autodiff import ParameterBag, Tensor, _unbroadcast, uniform_init
 from .nn import joined_matmul
 
 __all__ = [
     "AttentionRecord",
     "GatLayer",
     "SparsityReport",
+    "attend",
     "sparsity_report",
 ]
 
@@ -74,14 +79,54 @@ class GatLayer:
         heads, hd = self.n_heads, self.head_dim
         wz = joined_matmul(temp, spat, self.w)                     # (B, T, N, 128)
         wz = wz.reshape(b, steps, n, heads, hd).transpose((0, 1, 3, 2, 4))
-        a = self.a.reshape(heads, 1, 2 * hd)
-        src = (wz * a[:, :, :hd]).sum(axis=-1)                     # (B, T, heads, N)
-        dst = (wz * a[:, :, hd:]).sum(axis=-1)
-        # src_i + dst_j over all ordered pairs
-        e = src.reshape(b, steps, heads, n, 1) + dst.reshape(b, steps, heads, 1, n)
-        alpha = softmax(leaky_relu(e, LEAKY_SLOPE), axis=-1)       # (B, T, heads, N, N)
-        refined = matmul(alpha, wz).transpose((0, 1, 3, 2, 4))
-        return refined.reshape(b, steps, n, REFINED), alpha
+        return attend(wz, self.a)
+
+
+def attend(wz: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
+    """wz (B, T, heads, N, hd), a (heads, 2 hd) -> refined (B, T, N, heads * hd), alphas.
+
+    One node with parents ``wz`` and ``a``.  Per head, e_ij = LeakyReLU(
+    a_src . wz_i + a_dst . wz_j), alpha = softmax_j(e) and the mix is
+    alpha @ wz, written straight into the heads-side-by-side layout.  The
+    alphas come back as a constant (B, T, heads, N, N) tensor.
+    """
+    b, steps, heads, n, hd = wz.shape
+    x = wz.data
+    a3 = a.data.reshape(heads, 1, 2 * hd)
+    a_src, a_dst = a3[:, :, :hd], a3[:, :, hd:]
+    src = (x * a_src).sum(axis=-1)                                 # (B, T, heads, N)
+    dst = (x * a_dst).sum(axis=-1)
+    # src_i + dst_j over all ordered pairs
+    e = src.reshape(b, steps, heads, n, 1) + dst.reshape(b, steps, heads, 1, n)
+    mask = e >= 0.0
+    e = np.where(mask, e, LEAKY_SLOPE * e)
+    e = np.exp(e - e.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)                      # (B, T, heads, N, N)
+    out = np.empty((b, steps, n, heads, hd), dtype=alpha.dtype)
+    np.matmul(alpha, x, out=out.transpose((0, 1, 3, 2, 4)))
+
+    def bwd(g):
+        # the composed ops' backward, node by node: the mix, the softmax,
+        # the LeakyReLU, the pair sum, then the source and destination
+        # score products; wz's three contributions add in that order
+        gm = np.transpose(g.reshape(b, steps, n, heads, hd), (0, 1, 3, 2, 4))
+        g_alpha = np.matmul(gm, np.swapaxes(x, -1, -2))
+        g_wz = np.matmul(np.swapaxes(alpha, -1, -2), gm)
+        g_e = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+        # inline, as in leaky_relu: the product may take the factor's buffer
+        # and e's memory layout, which fixes the summation order below
+        g_e = g_e * np.where(mask, 1.0, LEAKY_SLOPE)
+        g_a = []
+        for coef, score_shape in ((a_src, (b, steps, heads, n, 1)),
+                                  (a_dst, (b, steps, heads, 1, n))):
+            g_score = _unbroadcast(g_e, score_shape).reshape(b, steps, heads, n, 1)
+            g_prod = np.broadcast_to(g_score, x.shape).copy()
+            g_wz = g_wz + g_prod * coef
+            g_a.append(_unbroadcast(g_prod * x, coef.shape))
+        return g_wz, np.concatenate(g_a, axis=-1).reshape(a.shape)
+
+    refined = Tensor._from_op(out.reshape(b, steps, n, heads * hd), (wz, a), "gat", bwd)
+    return refined, Tensor(alpha)
 
 
 @dataclass

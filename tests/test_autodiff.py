@@ -251,6 +251,37 @@ def test_dropout_train_scales_and_eval_is_identity(rng):
         dropout(x, 1.0, rng, training=True)
 
 
+# each op with a Python scalar (or dropout's mask, or leaky_relu's slope)
+# next to its numpy reference, where a Python number is weak (NEP 50)
+SCALAR_OPS = {
+    "add": (lambda t: t + 1.5, lambda a: a + 1.5),
+    "sub": (lambda t: t - 1.5, lambda a: a - 1.5),
+    "mul": (lambda t: t * 0.3, lambda a: a * 0.3),
+    "div": (lambda t: t / 3.0, lambda a: a / 3.0),
+    "radd": (lambda t: 1.5 + t, lambda a: 1.5 + a),
+    "rsub": (lambda t: 1.0 - t, lambda a: 1.0 - a),
+    "rmul": (lambda t: 0.3 * t, lambda a: 0.3 * a),
+    "maximum": (lambda t: maximum(t, 0.1), lambda a: np.where(a >= 0.1, a, 0.1)),
+    "dropout": (lambda t: dropout(t, 0.25, np.random.default_rng(4), training=True),
+                lambda a: a * ((np.random.default_rng(4).random(a.shape) >= 0.25)
+                               / 0.75).astype(a.dtype)),
+    "leaky_relu": (lambda t: leaky_relu(t, 0.2), lambda a: np.where(a >= 0.0, a, 0.2 * a)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(SCALAR_OPS))
+def test_scalar_operand_keeps_the_tensor_dtype(rng, op, dtype):
+    fn, reference = SCALAR_OPS[op]
+    data = rng.standard_normal((3, 4)).astype(dtype)
+    out = fn(Tensor(data, requires_grad=True))
+    want = reference(data)
+    assert out.dtype == dtype and want.dtype == dtype
+    assert out.data.tobytes() == want.tobytes()
+    grads = out._backward(np.ones_like(out.data))
+    assert [g.dtype for g in grads if g is not None] == [np.dtype(dtype)]
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
@@ -281,12 +312,23 @@ def test_repeated_backward_accumulates_until_zero_grad():
     assert np.allclose(x.grad, [3.0])
 
 
-def test_backward_twice_on_one_graph_doubles_the_gradient():
+def test_backward_consumes_the_graph_and_a_second_call_raises():
     x = Tensor(np.array([1.0]), requires_grad=True)
-    loss = (x * 3.0).sum()
+    h = x * 3.0
+    loss = h.sum()
     loss.backward()
-    loss.backward()
-    assert np.array_equal(x.grad, [6.0])
+    assert loss._parents == () and h._parents == ()
+    with pytest.raises(RuntimeError, match="already consumed"):
+        loss.backward()
+    assert np.array_equal(x.grad, [3.0])
+    assert x._backward is None and x.requires_grad
+
+
+def test_backward_on_a_leaf_loss_leaves_it_a_leaf():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    x.backward()
+    x.backward()
+    assert x._backward is None and np.array_equal(x.grad, [2.0])
 
 
 def test_gradient_handed_to_two_parents_is_not_written_in_place():

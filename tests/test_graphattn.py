@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from dataclasses import asdict
 
-from crisp.autodiff import ParameterBag, Tensor, uniform_init
+from crisp.autodiff import ParameterBag, Tensor, leaky_relu, matmul, softmax, uniform_init
 from crisp.graphattn import (
+    LEAKY_SLOPE,
     AttentionRecord,
     GatLayer,
     SparsityReport,
+    attend,
     sparsity_report,
     telemetry_csv,
 )
@@ -167,6 +169,60 @@ def test_gat_gradcheck(rng):
         return refined.sum()
 
     err = max_rel_error(build, [(1, 2, 3, 5), (1, 3, 3)], rng, scale=0.5)
+    assert err < 1e-6
+
+
+def composed_attend(wz, a):
+    """``attend`` as the composed autodiff ops it replaces: score products,
+    pair sum, LeakyReLU, softmax, then the mix and the head-joining layout."""
+    b, steps, heads, n, hd = wz.shape
+    a3 = a.reshape(heads, 1, 2 * hd)
+    src = (wz * a3[:, :, :hd]).sum(axis=-1)
+    dst = (wz * a3[:, :, hd:]).sum(axis=-1)
+    e = src.reshape(b, steps, heads, n, 1) + dst.reshape(b, steps, heads, 1, n)
+    alpha = softmax(leaky_relu(e, LEAKY_SLOPE), axis=-1)
+    refined = matmul(alpha, wz).transpose((0, 1, 3, 2, 4))
+    return refined.reshape(b, steps, n, heads * hd), alpha
+
+
+# the last shape's (B, T, heads, N, N) arrays pass 256 KiB, where numpy
+# starts reusing temporaries as outputs, which changes their memory layout
+@pytest.mark.parametrize("shape", [(2, 3, 4, 13, 4), (1, 2, 1, 2, 3), (8, 10, 4, 13, 8)])
+def test_attention_node_is_byte_identical_to_the_composed_ops(rng, shape):
+    b, steps, heads, n, hd = shape
+    wz_data = rng.standard_normal(shape)
+    a_data = rng.standard_normal((heads, 2 * hd))
+    probe = Tensor(rng.standard_normal((b, n, steps, heads * hd)))
+    runs = []
+    for fn in (attend, composed_attend):
+        # wz enters through a transpose, as the layer feeds it
+        leaf = Tensor(wz_data.transpose((0, 1, 3, 2, 4)).copy(), requires_grad=True)
+        a = Tensor(a_data.copy(), requires_grad=True)
+        refined, alpha = fn(leaf.transpose((0, 1, 3, 2, 4)), a)
+        # in the model the node's gradient arrives in (B, N, T, width) memory
+        # order; layouts decide the summation order of its reductions
+        (refined.transpose((0, 2, 1, 3)) * probe).sum().backward()
+        runs.append((refined.data, alpha.data, leaf.grad, a.grad))
+    fused, composed = runs
+    assert fused[0].shape == (b, steps, n, heads * hd)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_attention_is_one_node_with_constant_alphas(rng):
+    wz = Tensor(rng.standard_normal((2, 3, 4, 5, 8)), requires_grad=True)
+    a = Tensor(rng.standard_normal((4, 16)), requires_grad=True)
+    refined, alpha = attend(wz, a)
+    assert refined.op == "gat" and refined._parents == (wz, a)
+    assert alpha._backward is None and not alpha.requires_grad
+
+
+def test_attention_node_gradcheck(rng):
+    def build(xs):
+        refined, _ = attend(xs[0], xs[1])
+        return (refined * refined).sum()
+
+    err = max_rel_error(build, [(1, 2, 2, 4, 3), (2, 6)], rng, scale=0.7)
     assert err < 1e-6
 
 
