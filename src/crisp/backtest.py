@@ -378,7 +378,9 @@ def static_adjacency_at(universe: Universe, end: int) -> tuple[np.ndarray, bool]
 def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
                       train_windows: list[Window], model_config: ModelConfig,
                       train_config: TrainConfig,
-                      loss_weights: LossWeights | None = None) -> TrainResult:
+                      loss_weights: LossWeights | None = None,
+                      on_epoch_end: Callable[[int, CrispModel], None] | None = None,
+                      ) -> TrainResult:
     """Feature-attach, optionally build static graphs, and run the trainer."""
     defensive = book.defensive_mask(universe.tickers)
     attach_features(universe, train_windows, defensive)
@@ -389,7 +391,8 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
                            for w in train_windows])
 
     return train(CrispModel(model_config), train_windows, prior.normalized,
-                 train_config, loss_weights, static_adjacencies=static)
+                 train_config, loss_weights, static_adjacencies=static,
+                 on_epoch_end=on_epoch_end)
 
 
 def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,

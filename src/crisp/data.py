@@ -34,7 +34,8 @@ class Universe:
     ``closes``, ``volumes`` and ``dates`` span R+1 days, the first a base day
     that only anchors the first return: ``returns[:, t]`` is the simple
     return from close t to close t+1, earned on ``return_dates[t]``, which is
-    ``dates[t + 1]``.  Any other shape raises ``ValueError``.
+    ``dates[t + 1]``.  Any other shape, or a ticker listed twice, raises
+    ``ValueError``.
     """
 
     tickers: list[str]
@@ -56,6 +57,9 @@ class Universe:
             if got != need:
                 raise ValueError(f"{name} has shape {got}; {n} tickers over {r} "
                                  f"return days need {need}")
+        repeated = sorted({t for t in self.tickers if self.tickers.count(t) > 1})
+        if repeated:
+            raise ValueError(f"duplicate tickers {repeated}: each ticker may appear once")
         self.return_dates = self.dates[1:]
 
     @property

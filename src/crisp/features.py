@@ -26,7 +26,13 @@ Roster (31 entries, order fixed):
 
 Conventions: std uses ddof=1; VaR/CVaR are loss-side (negative in losses)
 with the tail of size ceil(alpha*n); RSI is Wilder-initialized over 14
-diffs with 50 at zero movement; drawdown is negative.
+diffs with 50 at zero movement; drawdown is negative.  Each 20-day return,
+price and volume window is centered once, and its mean and centered square
+sum serve every column that reads them: std, skew, kurtosis, market
+correlation and beta for returns, the moving average and z-score for
+prices, std and stability for volume.  The third and fourth moments are
+products of the centered values, not powers, and the market window is
+centered once for all assets.
 """
 
 from __future__ import annotations
@@ -164,6 +170,13 @@ def _safe_div(num: np.ndarray, den: np.ndarray, fallback: float = 0.0) -> np.nda
     return out
 
 
+def _mean_std(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 std along the last axis from one centered pass."""
+    mean = w.mean(axis=-1)
+    c = w - mean[..., None]
+    return mean, np.sqrt((c * c).sum(axis=-1) / (w.shape[-1] - 1))
+
+
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pearson correlation along the last axis; zero variance on either side -> 0."""
     am = a - a.mean(axis=-1, keepdims=True)
@@ -221,13 +234,16 @@ def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
 
     f = np.empty((n, t_len, N_FEATURES))
 
-    # returns block
+    # returns block: one mean, centered window and square sum per window; the
+    # moments are products, as ``**`` 3 and 4 go through the slower libm pow
     mean = rw.mean(axis=-1)
-    std = rw.std(axis=-1, ddof=1)
-    centered = rw - mean[..., None]
-    m2 = (centered ** 2).mean(axis=-1)
-    m3 = (centered ** 3).mean(axis=-1)
-    m4 = (centered ** 4).mean(axis=-1)
+    c = rw - mean[..., None]
+    sq = c * c
+    s2 = sq.sum(axis=-1)
+    std = np.sqrt(s2 / (_WIN - 1))
+    m2 = s2 / _WIN
+    m3 = (sq * c).mean(axis=-1)
+    m4 = (sq * sq).mean(axis=-1)
     f[:, :, 0] = mean
     f[:, :, 1] = std
     f[:, :, 2] = _safe_div(m3, m2 ** 1.5)
@@ -239,7 +255,7 @@ def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     f[:, :, 4] = sorted_rw[:, :, k_tail - 1]
     f[:, :, 5] = sorted_rw[:, :, :k_tail].mean(axis=-1)
     f[:, :, 6] = np.sqrt((np.minimum(rw, 0.0) ** 2).mean(axis=-1))
-    f[:, :, 7] = (pw / np.maximum.accumulate(pw, axis=-1) - 1.0).min(axis=-1)
+    f[:, :, 7] = (pw / np.maximum.accumulate(pw, axis=-1)).min(axis=-1) - 1.0
     f[:, :, 8] = np.prod(1.0 + rw, axis=-1) - 1.0
 
     # momentum block
@@ -262,7 +278,7 @@ def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     equal = (v[None, :, :] == v[:, None, :]).sum(axis=1) - 1
     xrank = (less + 0.5 * equal) / max(n - 1, 1)             # average rank in [0, 1]
     f[:, :, 12] = _roll(xrank, _WIN)[:, PAD - _WIN + 1:, :].mean(axis=-1)
-    vstd = vw.std(axis=-1, ddof=1)
+    vmean, vstd = _mean_std(vw)
     f[:, :, 13] = vstd
     dollar = p * v
     live = dollar > 0.0
@@ -271,33 +287,32 @@ def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     ratw = _roll(ratio, _WIN)[:, PAD - _WIN + 1:, :]
     live_counts = livew.sum(axis=-1)
     f[:, :, 14] = _safe_div(ratw.sum(axis=-1), live_counts)
-    f[:, :, 15] = vw.mean(axis=-1) / (vstd + 1e-8)    # guard keeps constant volume finite
+    f[:, :, 15] = vmean / (vstd + 1e-8)           # guard keeps constant volume finite
 
     # technical block
     ma5 = _roll(p, 5)[:, PAD - 4:, :].mean(axis=-1)
-    ma20 = pw.mean(axis=-1)
+    ma20, pstd = _mean_std(pw)
     f[:, :, 16] = ma5 / ma20
     f[:, :, 17] = p[:, day] / ma20
     vol5 = _roll(r, 5)[:, PAD - 4:, :].std(axis=-1, ddof=1)
     f[:, :, 19] = _safe_div(vol5, std, fallback=1.0)
 
-    # crisis block
+    # crisis block: the market window is centered once, at (1, T, 20), and its
+    # product with the centered returns feeds both correlation and beta
     f[:, :, 20] = defensive[:, None]
-    mw = _roll(np.broadcast_to(m, (1, width)), _WIN)[:, PAD - _WIN + 1:, :]  # (1, T, 20)
-    mkt = np.broadcast_to(mw, rw.shape)
-    f[:, :, 21] = _corr(rw, mkt)
+    mw = _roll(m[None, :], _WIN)[:, PAD - _WIN + 1:, :]     # (1, T, 20)
+    mc = mw - mw.mean(axis=-1, keepdims=True)
+    smm = (mc * mc).sum(axis=-1)                             # (1, T)
+    scm = (c * mc).sum(axis=-1)                              # (N, T)
+    f[:, :, 21] = _safe_div(scm, np.sqrt(s2 * smm))
     f[:, :, 22] = (r[:, day] > 0.0).mean(axis=0)[None, :]
-    mc = mkt - mkt.mean(axis=-1, keepdims=True)
-    cov = (centered * mc).mean(axis=-1)
-    var_m = (mc * mc).mean(axis=-1)
-    f[:, :, 23] = _safe_div(cov, var_m)
+    f[:, :, 23] = _safe_div(scm / _WIN, smm / _WIN)
 
     # extremes block
     f[:, :, 24] = rw.max(axis=-1)
     f[:, :, 25] = rw.min(axis=-1)
     f[:, :, 26] = _corr(rw[:, :, :-1], rw[:, :, 1:])
     f[:, :, 27] = (rw > 0.0).mean(axis=-1)
-    pstd = pw.std(axis=-1, ddof=1)
     f[:, :, 28] = _safe_div(p[:, day] - ma20, pstd)
 
     # interactions

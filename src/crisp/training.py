@@ -23,6 +23,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -283,7 +284,8 @@ class TrainResult:
 
 def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
           config: TrainConfig, loss_weights: LossWeights | None = None,
-          static_adjacencies: np.ndarray | None = None) -> TrainResult:
+          static_adjacencies: np.ndarray | None = None,
+          on_epoch_end: Callable[[int, CrispModel], None] | None = None) -> TrainResult:
     """Train on feature-carrying windows; returns the best checkpoint.
 
     Windows must be chronological and carry raw (unnormalized) full-roster
@@ -294,6 +296,8 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
     batches have no meaningful period ordering.  Each log row carries the
     epoch's clipped-batch count and its largest pre-clip gradient norm; an
     epoch whose loss or gradient turns non-finite logs ``nan`` losses, then stops.
+    ``on_epoch_end(epoch, model)`` runs after each epoch's log row, while the
+    model holds that epoch's parameters (a diverged epoch's last good ones).
     """
     lw = loss_weights or LossWeights()
     n_val = max(1, round(config.val_fraction * len(windows)))
@@ -361,6 +365,8 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
         result.log.append({"epoch": epoch, "train_loss": epoch_loss / n_train,
                            "val_loss": val_loss, "lr": lr, "clips": clips,
                            "grad_norm": max_norm})
+        if on_epoch_end is not None:
+            on_epoch_end(epoch, model)
         if result.diverged:
             break
 

@@ -512,9 +512,9 @@ def test_09_synthetic_end_to_end(book):
           f"{int(crisis.sum())} crisis test rebalances, "
           f"equal-weight sharpe {ew.metric_set.sharpe:.4f}")
 
-    def eval_train_loss(ck, train_windows):
+    def eval_train_loss(ck, params, train_windows):
         model = CrispModel(ck.model_config)
-        model.load_state(ck.best_params)
+        model.load_state(params)
         x = ck.feature_normalizer().transform(np.stack([w.features for w in train_windows]))
         targets = np.stack([w.target for w in train_windows])
         prev = np.full((len(train_windows), len(tickers)), 1.0 / len(tickers))
@@ -526,17 +526,22 @@ def test_09_synthetic_end_to_end(book):
     for seed in range(10):
         kw = dict(learning_rate=1e-3, lr_min=5e-4, batch_size=16,
                   patience=11, val_fraction=0.2, seed=seed)
-        # epoch 1 is bitwise-identical between the two runs, so comparing the
-        # two selected checkpoints on the full training set reads "loss fell
-        # from epoch 1 to the best epoch" without epoch-average noise
-        first = train_on_universe(u, book, prior, train,
-                                  ModelConfig(init_seed=seed),
-                                  TrainConfig(max_epochs=1, **kw))
+        # the run's epoch-1 parameters are bitwise a one-epoch run's selected
+        # checkpoint, so comparing them with the selected checkpoint on the
+        # full training set reads "loss fell from epoch 1 to the best epoch"
+        # without epoch-average noise
+        first = {}
+
+        def keep_epoch_1(epoch, model):
+            if epoch == 0:
+                first.update(model.state())
+
         full = train_on_universe(u, book, prior, train,
                                  ModelConfig(init_seed=seed),
-                                 TrainConfig(max_epochs=10, **kw))
-        l1 = eval_train_loss(first.checkpoint, train)
-        lbest = eval_train_loss(full.checkpoint, train)
+                                 TrainConfig(max_epochs=10, **kw),
+                                 on_epoch_end=keep_epoch_1)
+        l1 = eval_train_loss(full.checkpoint, first, train)
+        lbest = eval_train_loss(full.checkpoint, full.checkpoint.best_params, train)
         a = lbest < l1
 
         strat = crisp_strategy(full.checkpoint, prior, defensive)

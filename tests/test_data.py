@@ -90,6 +90,12 @@ def test_load_csv_rejects_duplicate_rows(tmp_path, first_close):
         load_csv(write_csv(tmp_path, rows), ["AAA"])
 
 
+def test_load_csv_rejects_a_ticker_requested_twice(tmp_path):
+    rows = [f"2020-01-0{d},{t},{100 + d},1000" for t in TICKERS3 for d in (1, 2, 3)]
+    with pytest.raises(ValueError, match=r"duplicate tickers \['AAA'\]"):
+        load_csv(write_csv(tmp_path, rows), ["AAA", "BBB", "AAA"])
+
+
 def test_load_csv_ignores_rows_of_unrequested_tickers(tmp_path):
     rows = [f"2020-01-0{d},AAA,10,1" for d in (1, 2)]
     rows += ["2020-01-01,ZZZ,nan,-1", "2020-01-01,ZZZ,nan,-1"]
@@ -217,6 +223,11 @@ def test_regime_config_validates_rows():
         RegimeConfig(calm_vol=-0.1)
     with pytest.raises(ValueError):
         RegimeConfig(crisis_corr=1.0)
+
+
+def test_synthetic_rejects_duplicate_tickers():
+    with pytest.raises(ValueError, match=r"duplicate tickers \['A', 'C'\]"):
+        generate_synthetic(["C", "A", "B", "A", "C", "C"], 30, seed=0)
 
 
 def test_synthetic_deterministic():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -15,8 +15,11 @@ from crisp.features import (
     PAD,
     FeatureNormalizer,
     amihud,
+    _corr,
+    _safe_div,
     compute_features,
     cvar,
+    day_features,
     feature_columns,
     roster_csv,
     rsi,
@@ -315,6 +318,77 @@ def test_vol_percentile_is_bitwise_the_per_day_loop(seed, n, t, flat):
     market = 0.01 * rng.standard_normal(PAD + t)
     got = compute_features(prices, volumes, market)[:, :, IDX["vol_pctile_60"]]
     assert np.ascontiguousarray(got).tobytes() == vol_pctile_reference(prices).tobytes()
+
+
+def rewritten_columns_reference(p, v, m, got):
+    """The columns whose window sums ``day_features`` shares, by the formulas it
+    replaced: numpy's ddof=1 std, ``_corr`` against the market broadcast to
+    every asset, one minus one before the drawdown's min, and ``**`` moments.
+    The columns it left alone are read from ``got``."""
+    width = p.shape[1]
+    r = np.zeros_like(p)
+    r[:, 1:] = p[:, 1:] / p[:, :-1] - 1.0
+
+    def roll(x, k):
+        return sliding_window_view(x, k, axis=1)[:, PAD - k + 1:, :]
+
+    rw, pw, vw = roll(r, 20), roll(p, 20), roll(v, 20)
+    mean = rw.mean(axis=-1)
+    std = rw.std(axis=-1, ddof=1)
+    centered = rw - mean[..., None]
+    m2 = (centered ** 2).mean(axis=-1)
+    m3 = (centered ** 3).mean(axis=-1)
+    m4 = (centered ** 4).mean(axis=-1)
+    drawdown = (pw / np.maximum.accumulate(pw, axis=-1) - 1.0).min(axis=-1)
+    mkt = np.broadcast_to(roll(np.broadcast_to(m, (1, width)), 20), rw.shape)
+    mc = mkt - mkt.mean(axis=-1, keepdims=True)
+    vstd = vw.std(axis=-1, ddof=1)
+    ma20 = pw.mean(axis=-1)
+    close = p[:, PAD:]
+    return {
+        "ret_mean_20": mean,
+        "ret_std_20": std,
+        "ret_skew_20": _safe_div(m3, m2 ** 1.5),
+        "ret_kurt_20": _safe_div(m4, m2 ** 2) - np.where(m2 > 0.0, 3.0, 0.0),
+        "max_drawdown_20": drawdown,
+        "volume_std_20": vstd,
+        "volume_stability_20": vw.mean(axis=-1) / (vstd + 1e-8),
+        "ma5_ma20_ratio": roll(p, 5).mean(axis=-1) / ma20,
+        "price_ma20_ratio": close / ma20,
+        "vol_ratio_5_20": _safe_div(roll(r, 5).std(axis=-1, ddof=1), std, fallback=1.0),
+        "market_corr_20": _corr(rw, mkt),
+        "market_beta_20": _safe_div((centered * mc).mean(axis=-1), (mc * mc).mean(axis=-1)),
+        "price_zscore_20": _safe_div(close - ma20, pw.std(axis=-1, ddof=1)),
+        "momentum_x_vol": got[:, :, IDX["momentum_20"]] * std,
+        "rsi_x_drawdown": got[:, :, IDX["rsi_14"]] * drawdown,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 13),
+       t=st.one_of(st.integers(1, 80), st.integers(80, 1100)),
+       flat=st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(0, 60)),
+       at=st.floats(0.0, 1.0))
+@example(seed=0, n=13, t=1066, flat=(0, 0, 0), at=0.0)
+@example(seed=1, n=13, t=1066, flat=(60, 60, 60), at=0.5)
+@example(seed=2, n=1, t=1, flat=(21, 21, 21), at=0.0)
+def test_shared_window_sums_match_the_formulas_they_replaced(seed, n, t, flat, at):
+    # flat price, volume and market stretches of 21+ days zero each window's
+    # spread, so every _safe_div fallback runs; spans past 1,066 days push the
+    # (n, t, 20) temporaries beyond numpy's 256 KiB temporary-reuse size
+    rng = np.random.default_rng(seed)
+    p, v, m = build_inputs(rng, n=n, t=t)
+    lo = int(at * (PAD + t))
+    p[:, lo:lo + flat[0]] = 64.0
+    v[:, lo:lo + flat[1]] = 4096.0
+    m[lo:lo + flat[2]] = 0.0
+    got, _ = day_features(p, v, m)
+    for name, want in rewritten_columns_reference(p, v, m, got).items():
+        col = np.ascontiguousarray(got[:, :, IDX[name]])
+        if name in ("ret_skew_20", "ret_kurt_20"):      # products, not pow: 1 ulp apart
+            assert np.allclose(col, want, rtol=1e-12, atol=1e-12), name
+        else:
+            assert col.tobytes() == want.tobytes(), name
 
 
 def test_normalizer_fit_transform_roundtrip(rng):

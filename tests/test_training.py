@@ -359,6 +359,22 @@ def test_training_is_deterministic(windows, prior):
         assert np.array_equal(state_a[key], state_b[key]), key
 
 
+def test_epoch_end_sees_epoch_zero_as_a_one_epoch_run_keeps_it(windows, prior):
+    # lr0 != lr_min: the cosine schedule depends on max_epochs after epoch 0 only
+    seen = []
+    train(CrispModel(ModelConfig(init_seed=2)), windows, prior.normalized,
+          quick_config(learning_rate=1e-3, max_epochs=3),
+          on_epoch_end=lambda epoch, model: seen.append((epoch, model.state())))
+    one = train(CrispModel(ModelConfig(init_seed=2)), windows, prior.normalized,
+                quick_config(learning_rate=1e-3, max_epochs=1))
+    assert [epoch for epoch, _ in seen] == [0, 1, 2]
+    first = seen[0][1]
+    assert first.keys() == one.checkpoint.best_params.keys()
+    for key, value in one.checkpoint.best_params.items():
+        assert first[key].tobytes() == value.tobytes(), key
+    assert any(not np.array_equal(seen[1][1][key], first[key]) for key in first)
+
+
 def test_batches_and_validation_run_the_encoder_at_one_dtype(windows, prior, monkeypatch):
     # the validation forward that picks the checkpoint runs at the dtype the
     # batches train at, which is also the one allocate serves it at
