@@ -11,17 +11,15 @@ a model's :class:`ParameterBag` keeps them in one flat namespace.
 
 Design notes:
 
-* float64 by default, with one precision policy.  Parameters, their
-  gradients, optimizer state and every loss stay float64, which keeps
-  finite-difference checks noise-free.  Inside a :func:`precision` block a
-  layer may compute in float32: it passes its inputs and each weight it
-  reads through :func:`cast` once per forward and casts its output back to
-  float64 (float64 master weights, as in Micikevicius et al., *Mixed
-  Precision Training*, arXiv:1710.03740).  ``cast`` to the dtype a tensor
-  already has returns it unchanged, so the default policy adds no node.
-  The model sets a float32 policy for its temporal encoder in training
-  and in every no-grad forward (``model.ENCODER_DTYPE``); gradient checks
-  and direct ``forward`` calls run at the default.
+* float64 by default.  Parameters, their gradients, optimizer state and
+  every loss stay float64, which keeps finite-difference checks
+  noise-free.  A layer may compute at a lower dtype of its own: it passes
+  its inputs and each weight it reads through :func:`cast` once per
+  forward and casts its output back to float64 (float64 master weights,
+  as in Micikevicius et al., *Mixed Precision Training*,
+  arXiv:1710.03740).  ``cast`` to the dtype a tensor already has returns
+  it unchanged, so a float64 layer adds no node.  Only the temporal
+  encoder does this, at a dtype it holds itself.
   Ops take their dtype from their operands.  A Python number takes the
   dtype of the tensor it combines with, as numpy's weak scalars do
   (NEP 50), so ``x * 0.5`` on a float32 ``x`` stays float32.
@@ -62,12 +60,10 @@ __all__ = [
     "matmul",
     "maximum",
     "no_grad",
-    "precision",
     "softmax",
 ]
 
 _GRAD_ENABLED = True
-_DTYPE = np.dtype(np.float64)
 _FLOAT32 = np.dtype(np.float32)
 # glibc's mallopt parameters (malloc.h) and the values backward sets: an
 # mmap threshold at the most glibc's adaptive one reaches, and a trim
@@ -101,22 +97,6 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Set the dtype that :func:`cast` converts to inside the block.
-
-    float64 outside any block.  Only layers that cast their operands
-    compute at this dtype; everything else stays float64.
-    """
-    global _DTYPE
-    prev = _DTYPE
-    _DTYPE = np.dtype(dtype)
-    try:
-        yield
-    finally:
-        _DTYPE = prev
 
 
 def _is_basic_key(key) -> bool:
@@ -422,14 +402,13 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def cast(x: Tensor, dtype=None) -> Tensor:
-    """``x`` at ``dtype`` (the :func:`precision` policy's by default).
+def cast(x: Tensor, dtype) -> Tensor:
+    """``x`` at ``dtype``.
 
     Returns ``x`` itself when it already has that dtype; otherwise one node
     tagged ``cast`` whose backward returns the gradient at ``x``'s dtype.
     """
     x = as_tensor(x)
-    dtype = _DTYPE if dtype is None else dtype
     src = x.dtype
     if src == dtype:
         return x

@@ -249,11 +249,11 @@ def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
     f[:, :, 2] = _safe_div(m3, m2 ** 1.5)
     f[:, :, 3] = _safe_div(m4, m2 ** 2) - np.where(m2 > 0.0, 3.0, 0.0)
 
-    # risk block
-    k_tail = math.ceil(0.05 * _WIN)
-    sorted_rw = np.sort(rw, axis=-1)
-    f[:, :, 4] = sorted_rw[:, :, k_tail - 1]
-    f[:, :, 5] = sorted_rw[:, :, :k_tail].mean(axis=-1)
+    # risk block: over 20 days the 5 % tail is ceil(0.05 * 20) = 1 return, so
+    # the VaR and the CVaR are both the window's worst return
+    worst = rw.min(axis=-1)
+    f[:, :, 4] = worst
+    f[:, :, 5] = worst
     f[:, :, 6] = np.sqrt((np.minimum(rw, 0.0) ** 2).mean(axis=-1))
     f[:, :, 7] = (pw / np.maximum.accumulate(pw, axis=-1)).min(axis=-1) - 1.0
     f[:, :, 8] = np.prod(1.0 + rw, axis=-1) - 1.0
@@ -310,7 +310,7 @@ def day_features(window_prices: np.ndarray, window_volumes: np.ndarray,
 
     # extremes block
     f[:, :, 24] = rw.max(axis=-1)
-    f[:, :, 25] = rw.min(axis=-1)
+    f[:, :, 25] = worst
     f[:, :, 26] = _corr(rw[:, :, :-1], rw[:, :, 1:])
     f[:, :, 27] = (rw > 0.0).mean(axis=-1)
     f[:, :, 28] = _safe_div(p[:, day] - ma20, pstd)

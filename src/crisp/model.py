@@ -13,14 +13,11 @@ multi-head attention, cut to one head; the allocation LSTM, replaced by a
 mean pool; the four crisis features).  ``ModelConfig.variant`` is the one
 switch, so the trainer and backtester treat every variant uniformly.
 
-Training and every no-grad forward (``allocate``, which serves
-walk-forward, backtests and ablations, and the training loop's validation)
-run under the ``ENCODER_DTYPE`` (float32) ``autodiff.precision`` policy,
-so a checkpoint is chosen and served by the function it was trained as.
-Only the temporal encoder computes at that dtype; parameters, the spatial
-encoder, graph attention, the allocation head, the projection and the loss
-stay float64.  ``forward`` itself runs at its caller's policy, float64 by
-default.
+Only the temporal encoder computes below float64, at the dtype it holds
+itself, in every ``forward``: training, validation and ``allocate`` (which
+serves walk-forward, backtests and ablations) run the one function.
+Parameters, the spatial encoder, graph attention, the allocation head, the
+projection and the loss stay float64.
 """
 
 from __future__ import annotations
@@ -32,17 +29,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .allocation import AllocationHead
-from .autodiff import ParameterBag, Tensor, matmul, no_grad, precision, uniform_init
+from .autodiff import ParameterBag, Tensor, matmul, no_grad, uniform_init
 from .features import CRISIS_FEATURES, N_FEATURES
 from .graphattn import GatLayer
 from .nn import joined_matmul
 from .spatial import SpatialEncoder
 from .temporal import TemporalEncoder
 
-__all__ = ["ENCODER_DTYPE", "VARIANTS", "CrispModel", "ModelConfig"]
-
-# the temporal encoder's dtype in training and inference
-ENCODER_DTYPE = np.float32
+__all__ = ["VARIANTS", "CrispModel", "ModelConfig"]
 
 # variant name -> its row in the ablation table
 VARIANTS = {
@@ -161,12 +155,9 @@ class CrispModel:
     def allocate(self, features: np.ndarray, prior_adjacency: np.ndarray,
                  static_adjacency: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Eval-mode single-window forward: (N, T, F) -> ((N,), attention).
-
-        Runs under the ``ENCODER_DTYPE`` policy, as training does.
-        """
+        """Eval-mode single-window forward: (N, T, F) -> ((N,), attention)."""
         rng = np.random.default_rng(0)     # dropout disabled in eval; unused
-        with no_grad(), precision(ENCODER_DTYPE):
+        with no_grad():
             batch = features[None, ...]
             static = None if static_adjacency is None else static_adjacency[None, ...]
             weights, alphas = self.forward(batch, prior_adjacency, rng,

@@ -2,10 +2,9 @@
 
 Layers here hold no state beyond their parameters, which live in a shared
 ``ParameterBag`` owned by the model, so checkpointing and optimizer loops
-see one flat namespace.  The LSTM runs at its input's dtype: float32 inside
-the temporal encoder under the float32 ``autodiff.precision`` policy that
-training and ``CrispModel.allocate`` set, float64 elsewhere.  Its float64
-weights are cast to that dtype once per run.
+see one flat namespace.  The LSTM runs at its input's dtype: the temporal
+encoder's own dtype inside it, float64 elsewhere.  Its float64 weights are
+cast to that dtype once per run.
 """
 
 from __future__ import annotations

@@ -61,14 +61,11 @@ def correlation_adjacency(returns: np.ndarray,
     empty = np.zeros((n, n))
     if r.ndim != 2 or r.shape[1] < 2:
         return empty, True
-    stds = r.std(axis=1)
-    if (stds == 0.0).any():
-        live = stds > 0.0
-        corr = np.zeros((n, n))
-        if live.sum() >= 2:
-            corr[np.ix_(live, live)] = np.corrcoef(r[live])
-    else:
-        corr = np.corrcoef(r)
+    # a zero-variance row has no correlation: it stays isolated
+    live = r.std(axis=1) > 0.0
+    corr = np.zeros((n, n))
+    if live.sum() >= 2:
+        corr[np.ix_(live, live)] = np.corrcoef(r[live])
     a = (corr > threshold).astype(np.float64)
     np.fill_diagonal(a, 0.0)
     return a, not a.any()

@@ -10,13 +10,15 @@ projections, so they run as one 256->128 map whose matrix is their product.
 Assets are independent here: the batch and asset axes are flattened
 together, so permuting assets permutes outputs identically.
 
-The encoder computes at the ``autodiff.precision`` policy's dtype: each
-forward casts its input to it, every layer casts each weight it reads once
-to its input's dtype (the BiLSTM's ``wx``, ``wh`` and ``b``, the Q/K/V
-matrices and the folded projection), and ``h_step`` is cast back to
-float64 at the exit.  The parameters, their gradients and everything
-downstream stay float64.  Under the default float64 policy every cast is
-the identity and adds no graph node.
+The encoder computes in ``ENCODER_DTYPE`` (float32), in training and in
+every forward, so a checkpoint is chosen and served by the function it was
+trained as: each forward casts its input to the encoder's ``dtype``, every
+layer casts each weight it reads once to its input's dtype (the BiLSTM's
+``wx``, ``wh`` and ``b``, the Q/K/V matrices and the folded projection),
+and ``h_step`` is cast back to float64 at the exit.  The parameters, their
+gradients and everything downstream stay float64.  Gradient checks and
+composed-op references set an encoder's ``dtype`` to float64, where every
+cast is the identity and adds no graph node.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ import numpy as np
 from .autodiff import ParameterBag, Tensor, cast, concat, matmul, softmax, uniform_init
 from .nn import LSTM
 
-__all__ = ["TemporalEncoder"]
+__all__ = ["ENCODER_DTYPE", "TemporalEncoder"]
+
+# the dtype the encoder computes in
+ENCODER_DTYPE = np.float32
 
 _HIDDEN = 128      # per LSTM direction
 _MODEL = 2 * _HIDDEN
@@ -39,6 +44,7 @@ _HEAD_DIM = _MODEL // _HEADS
 class TemporalEncoder:
 
     def __init__(self, bag: ParameterBag, n_features: int, rng: np.random.Generator):
+        self.dtype = ENCODER_DTYPE
         self.fwd = LSTM(bag, "temporal.lstm_fwd", n_features, _HIDDEN, rng)
         self.bwd = LSTM(bag, "temporal.lstm_bwd", n_features, _HIDDEN, rng)
         self.wq = bag.register("temporal.attn_q", uniform_init(rng, _MODEL, (_MODEL, _MODEL)))
@@ -88,7 +94,7 @@ class TemporalEncoder:
         (B*N, heads, T, T) come back as a second value.
         """
         b, n, steps, feats = x.shape
-        flat = cast(x).reshape(b * n, steps, feats)
+        flat = cast(x, self.dtype).reshape(b * n, steps, feats)
         h_bi = self.bilstm(flat)
         h_attn, weights = self.self_attention(h_bi, return_weights=True)
         h_step = cast(h_attn.reshape(b, n, steps, 128), np.float64)

@@ -9,11 +9,10 @@ Every run starts fresh and keeps the chronological tail of its windows for
 validation; feature normalization statistics are fitted on the part before
 the tail only, so nothing later in time leaks into them.
 
-Each batch's forward, loss and backward, and each epoch's validation
-forward, run under the ``model.ENCODER_DTYPE`` (float32)
-``autodiff.precision`` policy, so the temporal encoder computes in float32
-there, as it does in ``CrispModel.allocate``: the checkpoint is chosen by
-the function that serves it.  Parameters, gradients, Adam moments,
+Each batch's forward and each epoch's validation forward are the model's
+one ``forward``, the function ``CrispModel.allocate`` serves, so the
+checkpoint is chosen by the function that serves it.  Only the temporal
+encoder computes below float64; parameters, gradients, Adam moments,
 clipping, the loss and checkpoints stay float64 (float64 master weights).
 """
 
@@ -27,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import no_grad, precision
+from .autodiff import no_grad
 from .data import Window
 from .features import FeatureNormalizer, feature_columns
-from .model import ENCODER_DTYPE, CrispModel, ModelConfig
+from .model import CrispModel, ModelConfig
 from .objectives import LossWeights, loss_from_batch
 
 __all__ = [
@@ -338,14 +337,13 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
             for lo in range(0, n_train, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
                 model.zero_grads()
-                with precision(ENCODER_DTYPE):
-                    weights, _ = model.forward(
-                        feats[idx], prior_adjacency, rng, training=True,
-                        static_adjacency=None if static is None else static[idx])
-                    batch_loss = loss_from_batch(weights, prev[:len(idx)], targets[idx], lw)
-                    if not np.isfinite(batch_loss.data):
-                        raise FloatingPointError("non-finite training loss")
-                    batch_loss.backward()
+                weights, _ = model.forward(
+                    feats[idx], prior_adjacency, rng, training=True,
+                    static_adjacency=None if static is None else static[idx])
+                batch_loss = loss_from_batch(weights, prev[:len(idx)], targets[idx], lw)
+                if not np.isfinite(batch_loss.data):
+                    raise FloatingPointError("non-finite training loss")
+                batch_loss.backward()
                 norm, clipped = clip_gradients(params, config.clip_norm)
                 clips += clipped
                 max_norm = max(max_norm, norm)
@@ -357,7 +355,7 @@ def train(model: CrispModel, windows: list[Window], prior_adjacency: np.ndarray,
             epoch_loss = val_loss = math.nan
         else:
             last_good = model.state()
-            with no_grad(), precision(ENCODER_DTYPE):
+            with no_grad():
                 w, _ = model.forward(
                     feats[n_train:], prior_adjacency, np.random.default_rng(0), training=False,
                     static_adjacency=None if static is None else static[n_train:])

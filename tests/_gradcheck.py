@@ -1,10 +1,23 @@
-"""Finite-difference gradient checking shared by the unit and acceptance tests."""
+"""Finite-difference gradient checking, and the float64 reference temporal
+encoder it needs, shared by the unit and acceptance tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from crisp.autodiff import Tensor
+
+
+def set_encoder_dtype(target, dtype=np.float64):
+    """Run the temporal encoder of ``target`` (a ``CrispModel`` or a
+    ``TemporalEncoder``) at ``dtype`` and return ``target``.
+
+    float64 makes it the reference that finite differences and composed-op
+    comparisons need: every cast in it is then the identity.
+    """
+    getattr(target, "temporal", target).dtype = dtype
+    return target
+
 
 # Coordinates where analytic and numeric are both below this are treated as
 # matching zeros; relative error is meaningless there.

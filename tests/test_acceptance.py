@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from _gradcheck import max_rel_error
+from _gradcheck import max_rel_error, set_encoder_dtype
 from crisp.allocation import (
     TEMPERATURE,
     PortfolioWeights,
@@ -164,7 +164,8 @@ def test_01_gradient_integrity():
     # full model plus objective, analytic backward against central differences
     def end_to_end(n_assets, seed):
         gen = np.random.default_rng(seed)
-        model = CrispModel(ModelConfig(n_assets=n_assets, window=6, init_seed=3))
+        model = set_encoder_dtype(CrispModel(ModelConfig(n_assets=n_assets, window=6,
+                                                         init_seed=3)))
         x = 0.8 * gen.standard_normal((2, n_assets, 6, 31))
         adj = np.abs(gen.standard_normal((n_assets, n_assets))) + 0.1
         adj /= adj.sum(axis=1, keepdims=True)
@@ -235,13 +236,14 @@ def test_02_normalization_invariants():
                     axis=-1, temperature=TEMPERATURE)
         worst = max(worst, float(np.abs(s.data.sum(axis=-1) - 1.0).max()))
 
-    enc = TemporalEncoder(ParameterBag(), 9, np.random.default_rng(0))
+    enc = set_encoder_dtype(TemporalEncoder(ParameterBag(), 9, np.random.default_rng(0)))
     for _ in range(33):
         x = Tensor(gen.standard_normal((2, 3, 5, 9)))
         _, attn = enc(x, return_weights=True)
         worst = max(worst, float(np.abs(attn.data.sum(axis=-1) - 1.0).max()))
 
-    model = CrispModel(ModelConfig(n_assets=6, window=5, variant="no_crisis", init_seed=1))
+    model = set_encoder_dtype(CrispModel(ModelConfig(n_assets=6, window=5, variant="no_crisis",
+                                                     init_seed=1)))
     adj = np.abs(gen.standard_normal((6, 6))) + 0.1
     adj /= adj.sum(axis=1, keepdims=True)
     for _ in range(33):
@@ -513,7 +515,7 @@ def test_09_synthetic_end_to_end(book):
           f"equal-weight sharpe {ew.metric_set.sharpe:.4f}")
 
     def eval_train_loss(ck, params, train_windows):
-        model = CrispModel(ck.model_config)
+        model = set_encoder_dtype(CrispModel(ck.model_config))
         model.load_state(params)
         x = ck.feature_normalizer().transform(np.stack([w.features for w in train_windows]))
         targets = np.stack([w.target for w in train_windows])

@@ -18,7 +18,6 @@ from crisp.autodiff import (
     matmul,
     maximum,
     no_grad,
-    precision,
     softmax,
     uniform_init,
 )
@@ -370,37 +369,23 @@ def test_tensor_keeps_float32_and_widens_everything_else():
 
 def test_cast_to_the_same_dtype_is_the_tensor_itself():
     x = Tensor(np.ones(3), requires_grad=True)
-    assert cast(x) is x
     assert cast(x, np.float64) is x
-    with precision(np.float32):
-        y = cast(x)
-        assert cast(y) is y
+    y = cast(x, np.float32)
+    assert cast(y, np.float32) is y
     assert y.dtype == np.float32 and y.op == "cast"
 
 
 def test_cast_backward_returns_the_parents_dtype(rng):
     x = Parameter("w", rng.standard_normal((3, 4)))
     b = rng.standard_normal((4, 2)).astype(np.float32)
-    with precision(np.float32):
-        h = matmul(cast(x), Tensor(b))
-        assert h.dtype == np.float32
-        loss = cast(h.tanh(), np.float64).sum()
-        loss.backward()
+    h = matmul(cast(x, np.float32), Tensor(b))
+    assert h.dtype == np.float32
+    loss = cast(h.tanh(), np.float64).sum()
+    loss.backward()
     assert loss.dtype == np.float64 and x.grad.dtype == np.float64
     want = Parameter("w", x.data)
     matmul(want, Tensor(b)).tanh().sum().backward()
     assert np.abs(x.grad - want.grad).max() <= 1e-6 * np.abs(want.grad).max()
-
-
-def test_precision_restores_the_previous_dtype_when_its_block_raises():
-    x = Tensor(np.ones(2))
-    with precision(np.float32):
-        with pytest.raises(RuntimeError):
-            with precision(np.float64):
-                assert cast(x) is x
-                raise RuntimeError("inside")
-        assert cast(x).dtype == np.float32
-    assert cast(x) is x
 
 
 def test_constant_inputs_get_no_gradient():

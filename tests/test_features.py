@@ -124,6 +124,21 @@ def test_compute_features_requires_pad(rng):
         compute_features(prices[:, :PAD], volumes[:, :PAD], market[:PAD])
 
 
+def test_a_nan_close_names_every_column_it_reaches(rng):
+    # the 5 % VaR and CVaR are the window minimum, which carries the NaN
+    prices, volumes, market = build_inputs(rng)
+    prices[1, PAD + 2] = np.nan
+    with pytest.raises(FloatingPointError) as err:
+        compute_features(prices, volumes, market)
+    assert str(err.value) == (
+        "non-finite feature values in ['ret_mean_20', 'ret_std_20', 'ret_skew_20', "
+        "'ret_kurt_20', 'var_5pct_20', 'cvar_5pct_20', 'downside_dev_20', "
+        "'max_drawdown_20', 'cum_return_20', 'momentum_20', 'momentum_accel_10', "
+        "'rsi_14', 'amihud_20', 'ma5_ma20_ratio', 'price_ma20_ratio', 'vol_ratio_5_20', "
+        "'market_corr_20', 'market_beta_20', 'max_return_20', 'min_return_20', "
+        "'autocorr_lag1_20', 'price_zscore_20', 'momentum_x_vol', 'rsi_x_drawdown']")
+
+
 def test_return_block_oracles(rng):
     prices, volumes, market = build_inputs(rng)
     feats = compute_features(prices, volumes, market)

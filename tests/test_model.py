@@ -1,5 +1,5 @@
 """The model's forward against the joined-embedding composition, its float32
-precision policy in training and inference, its memory, and its variants."""
+temporal encoder in training and inference, its memory, and its variants."""
 
 import math
 import sys
@@ -13,14 +13,15 @@ import pytest
 from crisp import backtest
 from crisp.allocation import (DROPOUT_RATE, TEMPERATURE, WEIGHT_CAP, WEIGHT_FLOOR,
                                project_constraints_tensor)
-from crisp.autodiff import (Tensor, concat, dropout, leaky_relu, matmul, no_grad, precision,
-                            softmax)
+from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, no_grad, softmax
 from crisp.data import make_windows
 from crisp.graphattn import LEAKY_SLOPE
-from crisp.model import ENCODER_DTYPE, VARIANTS, CrispModel, ModelConfig
+from crisp.model import VARIANTS, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
+from crisp.temporal import ENCODER_DTYPE
 from crisp.training import AdamState, TrainConfig, adam_step, clip_gradients
 
+from _gradcheck import set_encoder_dtype
 from test_nn import composed_lstm
 
 # test ids for VARIANTS, in its order
@@ -93,7 +94,7 @@ def joined_forward(model, features, prior_adjacency, rng, training,
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
 def test_forward_matches_joined_composition(prior, variant):
-    model = CrispModel(ModelConfig(init_seed=3, variant=variant))
+    model = set_encoder_dtype(CrispModel(ModelConfig(init_seed=3, variant=variant)))
     gen = np.random.default_rng(5)
     b, n, steps = 3, model.config.n_assets, 6
     x = gen.standard_normal((b, n, steps, model.config.n_features))
@@ -125,9 +126,10 @@ def test_forward_matches_joined_composition(prior, variant):
 
 
 def _step_peak_bytes(prior, dtype) -> int:
-    # one B=16 step of the default model as train() takes it; tracemalloc's
-    # peak depends only on the array shapes, so it is the same every run
-    model = CrispModel(ModelConfig())
+    # one B=16 step of the default model, its encoder at ``dtype``, as train()
+    # takes it; tracemalloc's peak depends only on the array shapes, so it is
+    # the same every run
+    model = set_encoder_dtype(CrispModel(ModelConfig()), dtype)
     adam = AdamState.for_model(model)
     gen = np.random.default_rng(0)
     b, n = 16, model.config.n_assets
@@ -138,9 +140,8 @@ def _step_peak_bytes(prior, dtype) -> int:
     tracemalloc.start()
     try:
         model.zero_grads()
-        with precision(dtype):
-            weights, _ = model.forward(x, prior.normalized, gen, training=True)
-            loss_from_batch(weights, prev, targets).backward()
+        weights, _ = model.forward(x, prior.normalized, gen, training=True)
+        loss_from_batch(weights, prev, targets).backward()
         clip_gradients(params, 5.0)
         adam_step(params, adam, 1e-3)
         return tracemalloc.get_traced_memory()[1]
@@ -148,18 +149,18 @@ def _step_peak_bytes(prior, dtype) -> int:
         tracemalloc.stop()
 
 
-# a step peaks at 164.2 MB (float64 policy) and 114.7 MB (float32 policy):
-# the live forward graph plus the first large node of backward; each guard
-# sits about 5 % above its peak
+# a step peaks at 164.2 MB (float64 reference encoder) and 114.7 MB (float32
+# encoder): the live forward graph plus the first large node of backward;
+# each guard sits about 5 % above its peak
 def test_training_step_peak_memory(prior):
     peak = _step_peak_bytes(prior, np.float64)
-    print(f"B=16 train step peak, float64 policy: {peak / 1e6:.1f} MB")
+    print(f"B=16 train step peak, float64 reference encoder: {peak / 1e6:.1f} MB")
     assert peak < 172e6, f"train step peak {peak / 1e6:.1f} MB"
 
 
 def test_float32_training_step_peak_memory(prior):
     peak = _step_peak_bytes(prior, np.float32)
-    print(f"B=16 train step peak, float32 policy: {peak / 1e6:.1f} MB")
+    print(f"B=16 train step peak, float32 encoder: {peak / 1e6:.1f} MB")
     assert peak < 120e6, f"float32 train step peak {peak / 1e6:.1f} MB"
 
 
@@ -181,9 +182,8 @@ def test_training_steps_fault_in_no_new_pages(prior):
     for _ in range(3):
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         model.zero_grads()
-        with precision(ENCODER_DTYPE):
-            weights, _ = model.forward(x, prior.normalized, gen, training=True)
-            loss_from_batch(weights, prev, targets).backward()
+        weights, _ = model.forward(x, prior.normalized, gen, training=True)
+        loss_from_batch(weights, prev, targets).backward()
         adam_step(model.parameters(), adam, 1e-3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
     assert faults[-1] < 1000, faults
@@ -191,7 +191,7 @@ def test_training_steps_fault_in_no_new_pages(prior):
 
 def test_allocate_peak_memory(prior):
     # tracemalloc's peak depends only on the array shapes: 1.93 MB here, and
-    # 3.53 MB for the same forward at the float64 policy
+    # 3.53 MB for the same forward with a float64 reference encoder
     model = CrispModel(ModelConfig())
     x = np.random.default_rng(0).standard_normal(
         (model.config.n_assets, model.config.window, model.config.n_features))
@@ -217,7 +217,7 @@ def _graph(root: Tensor) -> list[Tensor]:
 
 
 def _b16_loss(model, prior, dtype):
-    """A B=16 training step's loss under the ``dtype`` policy, graph unconsumed.
+    """A B=16 training step's loss, the encoder at ``dtype``, graph unconsumed.
 
     Backward consumes the graph, so a test walks it before calling backward.
     """
@@ -230,13 +230,13 @@ def _b16_loss(model, prior, dtype):
         static = adj / adj.sum(axis=-1, keepdims=True)
     targets = 0.02 * gen.standard_normal((b, n, 5))
     model.zero_grads()
-    with precision(dtype):
-        weights, _ = model.forward(x, prior.normalized, np.random.default_rng(11),
-                                   training=True, static_adjacency=static)
-        return loss_from_batch(weights, np.full((b, n), 1.0 / n), targets)
+    weights, _ = set_encoder_dtype(model, dtype).forward(
+        x, prior.normalized, np.random.default_rng(11), training=True,
+        static_adjacency=static)
+    return loss_from_batch(weights, np.full((b, n), 1.0 / n), targets)
 
 
-def test_default_policy_builds_no_cast_node(prior):
+def test_float64_reference_encoder_builds_no_cast_node(prior):
     loss = _b16_loss(CrispModel(ModelConfig()), prior, np.float64)
     nodes = _graph(loss)
     assert len(nodes) >= 100
@@ -288,7 +288,7 @@ def test_float32_policy_keeps_the_whole_encoder_in_float32(prior):
                for p in model.parameters())
 
 
-# -- inference: allocate at the training policy against the float64 forward --
+# -- inference: allocate at the training dtype against the float64 forward --
 
 # largest gaps measured in the tests below, weights and alphas: 5.3e-11 and
 # 1.6e-10 on normalized inputs, 1.1e-10 and 7.7e-10 for the trained
@@ -310,13 +310,14 @@ def _window_inputs(model, seed=5, scale=1.0):
 
 
 def _assert_allocate_matches_float64(model, x, prior_adjacency, static=None):
-    """``allocate`` within ``_INFERENCE_TOL`` of the same eval forward at the
-    default float64 policy, in the weights and the last-step alphas."""
+    """``allocate`` within ``_INFERENCE_TOL`` of the same eval forward with a
+    float64 reference encoder, in the weights and the last-step alphas."""
     got_w, got_a = model.allocate(x, prior_adjacency, static)
-    with no_grad(), precision(np.float64):
-        want_w, want_a = model.forward(
+    with no_grad():
+        want_w, want_a = set_encoder_dtype(model).forward(
             x[None], prior_adjacency, np.random.default_rng(0), training=False,
             static_adjacency=None if static is None else static[None])
+    set_encoder_dtype(model, ENCODER_DTYPE)
     assert np.abs(got_w - want_w.data[0]).max() <= _INFERENCE_TOL
     if want_a is None:
         assert got_a is None
@@ -355,6 +356,20 @@ def test_allocate_runs_the_encoder_at_the_training_dtype(prior, monkeypatch):
     assert seen == [ENCODER_DTYPE] and ENCODER_DTYPE == np.float32
     assert weights.dtype == np.float64
     assert all(p.dtype == np.float64 for p in model.parameters())
+
+
+def test_a_bare_forward_runs_the_encoder_at_the_training_dtype(prior, monkeypatch):
+    # the encoder holds its dtype, so a step taken outside train(), as the
+    # bench's timed step is, computes what train() and allocate compute
+    model = CrispModel(ModelConfig())
+    seen, bilstm = [], model.temporal.bilstm
+    monkeypatch.setattr(model.temporal, "bilstm", lambda x: seen.append(x.dtype) or bilstm(x))
+    x, _ = _window_inputs(model)
+    weights, _ = model.forward(x[None], prior.normalized, np.random.default_rng(0),
+                               training=True)
+    model.allocate(x, prior.normalized)
+    assert seen == [ENCODER_DTYPE] * 2
+    assert weights.dtype == np.float64
 
 
 def test_saturated_float32_gates_warn_nothing(prior):

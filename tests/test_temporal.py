@@ -5,13 +5,14 @@ import numpy as np
 from crisp.autodiff import ParameterBag, Tensor
 from crisp.temporal import TemporalEncoder
 
-from _gradcheck import max_rel_error
+from _gradcheck import max_rel_error, set_encoder_dtype
 from test_nn import reference_lstm
 
 
 def make_encoder(rng, n_features=6):
+    """A float64 reference encoder, as the oracles and gradcheck need."""
     bag = ParameterBag()
-    return bag, TemporalEncoder(bag, n_features, rng)
+    return bag, set_encoder_dtype(TemporalEncoder(bag, n_features, rng))
 
 
 def test_output_shapes(rng):

@@ -13,8 +13,9 @@ from crisp.autodiff import Parameter, grad_enabled
 from crisp.backtest import attach_features
 from crisp.data import make_windows
 from crisp.features import feature_columns
-from crisp.model import ENCODER_DTYPE, VARIANTS, CrispModel, ModelConfig
+from crisp.model import VARIANTS, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
+from crisp.temporal import ENCODER_DTYPE
 from crisp.training import (
     AdamState,
     Checkpoint,
