@@ -1,8 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every learnable layer in the pipeline is built from the operations in this
-module.  A ``Tensor`` wraps a numpy array plus an optional gradient buffer
-and a backpropagation closure that returns one gradient per parent.
+module.  A ``Tensor`` wraps a numpy array plus an optional gradient buffer;
+an op's result also gets a graph entry, a node whose backpropagation
+closure returns one gradient per parent.
 Calling :func:`backward` on a scalar loss walks the graph in reverse
 topological order and sums those gradients; it is the only code that does.
 A learnable weight is a :class:`Parameter`, a leaf ``Tensor`` with a name
@@ -23,6 +24,15 @@ Design notes:
   Ops take their dtype from their operands.  A Python number takes the
   dtype of the tensor it combines with, as numpy's weak scalars do
   (NEP 50), so ``x * 0.5`` on a float32 ``x`` stays float32.
+* What a node saves is exactly what its closure captures.  The node holds
+  its parents' entries, its closure and its op tag, and no array; the
+  closure captures the arrays, shapes, dtypes and ``requires_grad`` flags
+  its formula reads, never a ``Tensor``.  A leaf that requires grad is its
+  own entry, so ``Parameter.grad`` accumulates in place, and an operand
+  that needs no gradient enters as one shared constant.  So an
+  intermediate array lives only while its caller holds the tensor or a
+  closure captured it, the rule of PyTorch's autograd (Paszke et al.,
+  arXiv:1912.01703).  Under :func:`no_grad` no entry is built.
 * Only leaves keep ``.grad``: parameters and user tensors created with
   ``requires_grad=True``.  Each interior gradient is freed as soon as its
   node's backward has run, so an interior tensor's ``.grad`` stays ``None``.
@@ -56,7 +66,6 @@ __all__ = [
     "concat",
     "dropout",
     "grad_enabled",
-    "leaky_relu",
     "matmul",
     "maximum",
     "no_grad",
@@ -124,14 +133,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """A result's graph entry: its parents' entries, closure and op tag.
+
+    It holds no array; whatever its backward reads, the closure captured.
+    """
+
+    __slots__ = ("_parents", "_backward", "op")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], Sequence], op: str):
+        self._parents = parents
+        self._backward = backward
+        self.op = op
+
+
 class Tensor:
     """A dense array node in a reverse-mode autodiff graph.
 
     Data is float32 when given native float32 and float64 otherwise
-    (Python numbers, integer and boolean arrays included).
+    (Python numbers, integer and boolean arrays included).  An op's result
+    reaches the graph through its ``_Node``; ``_parents``, ``_backward`` and
+    ``op`` read that entry.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         if getattr(data, "dtype", None) is _FLOAT32:
@@ -140,9 +166,7 @@ class Tensor:
             self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], Sequence] | None = None
-        self.op = "leaf"
+        self._node: _Node | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -153,17 +177,29 @@ class Tensor:
 
         ``backward`` maps the output's gradient to one gradient per parent,
         in ``parents`` order (``None`` for a parent that needs none), and
-        neither writes a ``.grad`` nor mutates its argument.
+        neither writes a ``.grad`` nor mutates its argument.  It captures
+        the arrays, shapes, dtypes and flags it reads, never a ``Tensor``:
+        the graph keeps exactly what the closures captured.
         """
         out = cls(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-            out.op = op
+            out._node = _Node(tuple(map(_entry, parents)), backward, op)
         return out
 
     # -- bookkeeping ----------------------------------------------------------
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], Sequence] | None:
+        return None if self._node is None else self._node._backward
+
+    @property
+    def op(self) -> str:
+        return "leaf" if self._node is None else self._node.op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -193,10 +229,12 @@ class Tensor:
     def __add__(self, other):
         a, b = self, _operand(other, self)
         out_data = a.data + b.data
+        sa = a.shape if a.requires_grad else None
+        sb = b.shape if b.requires_grad else None
 
         def bwd(g):
-            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                    _unbroadcast(g, b.shape) if b.requires_grad else None)
+            return (None if sa is None else _unbroadcast(g, sa),
+                    None if sb is None else _unbroadcast(g, sb))
 
         return Tensor._from_op(out_data, (a, b), "add", bwd)
 
@@ -205,10 +243,12 @@ class Tensor:
     def __sub__(self, other):
         a, b = self, _operand(other, self)
         out_data = a.data - b.data
+        sa = a.shape if a.requires_grad else None
+        sb = b.shape if b.requires_grad else None
 
         def bwd(g):
-            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                    _unbroadcast(-g, b.shape) if b.requires_grad else None)
+            return (None if sa is None else _unbroadcast(g, sa),
+                    None if sb is None else _unbroadcast(-g, sb))
 
         return Tensor._from_op(out_data, (a, b), "sub", bwd)
 
@@ -218,10 +258,14 @@ class Tensor:
     def __mul__(self, other):
         a, b = self, _operand(other, self)
         out_data = a.data * b.data
+        sa, sb = a.shape, b.shape
+        # each factor is kept only for the other's gradient
+        ad = a.data if b.requires_grad else None
+        bd = b.data if a.requires_grad else None
 
         def bwd(g):
-            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+            return (None if bd is None else _unbroadcast(g * bd, sa),
+                    None if ad is None else _unbroadcast(g * ad, sb))
 
         return Tensor._from_op(out_data, (a, b), "mul", bwd)
 
@@ -230,11 +274,13 @@ class Tensor:
     def __truediv__(self, other):
         a, b = self, _operand(other, self)
         out_data = a.data / b.data
+        sa, sb, bd = a.shape, b.shape, b.data
+        ra = a.requires_grad
+        ad = a.data if b.requires_grad else None
 
         def bwd(g):
-            return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                    _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-                    if b.requires_grad else None)
+            return (_unbroadcast(g / bd, sa) if ra else None,
+                    None if ad is None else _unbroadcast(-g * ad / (bd * bd), sb))
 
         return Tensor._from_op(out_data, (a, b), "div", bwd)
 
@@ -261,9 +307,10 @@ class Tensor:
     def log(self):
         a = self
         out_data = np.log(a.data)
+        ad = a.data
 
         def bwd(g):
-            return (g / a.data,)
+            return (g / ad,)
 
         return Tensor._from_op(out_data, (a,), "log", bwd)
 
@@ -275,24 +322,6 @@ class Tensor:
             return (g * 0.5 / out_data,)
 
         return Tensor._from_op(out_data, (a,), "sqrt", bwd)
-
-    def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-
-        def bwd(g):
-            return (g * (1.0 - out_data * out_data),)
-
-        return Tensor._from_op(out_data, (a,), "tanh", bwd)
-
-    def sigmoid(self):
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def bwd(g):
-            return (g * out_data * (1.0 - out_data),)
-
-        return Tensor._from_op(out_data, (a,), "sigmoid", bwd)
 
     def relu(self):
         a = self
@@ -307,9 +336,10 @@ class Tensor:
     def abs(self):
         a = self
         out_data = np.abs(a.data)
+        ad = a.data
 
         def bwd(g):
-            return (g * np.sign(a.data),)
+            return (g * np.sign(ad),)
 
         return Tensor._from_op(out_data, (a,), "abs", bwd)
 
@@ -329,11 +359,12 @@ class Tensor:
     def sum(self, axis: int | None = None, keepdims: bool = False):
         a = self
         out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        shape = a.shape
 
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor._from_op(out_data, (a,), "sum", bwd)
 
@@ -346,9 +377,10 @@ class Tensor:
     def reshape(self, *shape):
         a = self
         out_data = a.data.reshape(shape)
+        in_shape = a.shape
 
         def bwd(g):
-            return (g.reshape(a.shape),)
+            return (g.reshape(in_shape),)
 
         return Tensor._from_op(out_data, (a,), "reshape", bwd)
 
@@ -367,23 +399,14 @@ class Tensor:
         axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
         return self.transpose(axes)
 
-    def broadcast_to(self, shape: Sequence[int]):
-        a = self
-        shape = tuple(shape)
-        out_data = np.broadcast_to(a.data, shape).copy()
-
-        def bwd(g):
-            return (_unbroadcast(g, a.shape),)
-
-        return Tensor._from_op(out_data, (a,), "broadcast", bwd)
-
     def __getitem__(self, key):
         a = self
         out_data = a.data[key]
         basic = _is_basic_key(key)
+        shape, dtype = a.shape, a.dtype
 
         def bwd(g):
-            gx = np.zeros_like(a.data)
+            gx = np.zeros(shape, dtype)
             if basic:
                 gx[key] = g
             else:
@@ -396,6 +419,18 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
+
+
+# the graph entry of every operand that needs no gradient: a leaf holding no
+# array of its operand, which backward skips
+_CONSTANT = Tensor(0.0)
+
+
+def _entry(t: Tensor):
+    """``t``'s graph entry: its node, itself for a leaf that needs a gradient."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else _CONSTANT
 
 
 def as_tensor(value) -> Tensor:
@@ -432,18 +467,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(
             f"matmul: inner dimensions disagree between shapes {a.shape} and {b.shape}")
+    sa, sb = a.shape, b.shape
 
     if b.ndim == 2:
         # Weight product: collapse the batch axes into one GEMM instead of
         # looping stacked matrix products, in both directions.
-        k, n = b.shape
+        k, n = sb
         a2 = a.data.reshape(-1, k)
-        out_data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+        out_data = (a2 @ b.data).reshape(sa[:-1] + (n,))
+        x = a2 if b.requires_grad else None
+        w = b.data if a.requires_grad else None
 
         def bwd(g):
             g2 = g.reshape(-1, n)
-            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                    a2.T @ g2 if b.requires_grad else None)
+            return (None if w is None else (g2 @ w.T).reshape(sa),
+                    None if x is None else x.T @ g2)
 
         return Tensor._from_op(out_data, (a, b), "matmul", bwd)
 
@@ -453,12 +491,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul: cannot broadcast batch dimensions of shapes {a.shape} and {b.shape}"
         ) from exc
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g):
-        return (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-                if b.requires_grad else None)
+        return (None if bd is None
+                else _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa),
+                None if ad is None
+                else _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb))
 
     return Tensor._from_op(out_data, (a, b), "matmul", bwd)
 
@@ -485,31 +525,18 @@ def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     return Tensor._from_op(out_data, (x,), "softmax", bwd)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    """x where x >= 0, slope * x elsewhere."""
-    x = as_tensor(x)
-    mask = x.data >= 0.0
-    out_data = np.where(mask, x.data, slope * x.data)
-
-    def bwd(g):
-        # inline on purpose: numpy may reuse a large temporary factor as the
-        # product's buffer, which then has the mask's memory layout, and
-        # that layout fixes the summation order of later reductions
-        return (g * np.where(mask, 1.0, slope).astype(g.dtype, copy=False),)
-
-    return Tensor._from_op(out_data, (x,), "leaky_relu", bwd)
-
-
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; the larger operand receives the gradient (ties go to `a`)."""
     a = as_tensor(a)
     b = _operand(b, a)
     take_a = a.data >= b.data
     out_data = np.where(take_a, a.data, b.data)
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def bwd(g):
-        return (_unbroadcast(g * take_a, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * ~take_a, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g * take_a, sa),
+                None if sb is None else _unbroadcast(g * ~take_a, sb))
 
     return Tensor._from_op(out_data, (a, b), "maximum", bwd)
 
@@ -527,10 +554,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-p) in training, identity in eval."""
-    if not training or p <= 0.0:
-        return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
     x = as_tensor(x)
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return x * Tensor(mask.astype(x.dtype, copy=False))
@@ -549,19 +576,21 @@ def backward(loss: Tensor) -> None:
     an interior tensor's ``.grad`` stays ``None``.  Its first contribution
     is kept by reference and each later one makes a fresh sum, so a buffer
     an op hands to two parents is never written.  Once a node's backward
-    has run, the node drops its closure and its parents, so what only it
-    kept is freed while backward goes on; the nodes still to run stay
-    referenced from the topological order, which keeps the id-keyed table
-    valid.  Calling it again on the consumed graph raises ``RuntimeError``.
-    Raises ``ValueError`` unless the loss is a scalar.
+    has run, the node drops its closure and its parents, so the arrays
+    only that closure captured are freed while backward goes on; the nodes
+    still to run stay referenced from the topological order, which keeps
+    the id-keyed table valid.  Calling it again on the consumed graph
+    raises ``RuntimeError``.  Raises ``ValueError`` unless the loss is a
+    scalar.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    root = loss if loss._node is None else loss._node
 
     # Iterative topological sort; graphs routinely exceed the recursion limit.
-    order: list[Tensor] = []
+    order: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -577,16 +606,16 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {}
 
-    def add(t: Tensor, g: np.ndarray) -> None:
-        if t._backward is None:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
+    def add(entry, g: np.ndarray) -> None:
+        if entry._backward is None:         # a leaf tensor
+            if entry.grad is None:
+                entry.grad = np.zeros_like(entry.data)
+            entry.grad += g
         else:
-            prev = grads.get(id(t))
-            grads[id(t)] = g if prev is None else prev + g
+            prev = grads.get(id(entry))
+            grads[id(entry)] = g if prev is None else prev + g
 
-    def run(node: Tensor) -> None:
+    def run(node: _Node) -> None:
         g = grads.pop(id(node), None)
         parents, bwd = node._parents, node._backward
         node._parents, node._backward = (), _consumed
@@ -595,8 +624,8 @@ def backward(loss: Tensor) -> None:
                 if pg is not None and parent.requires_grad:
                     add(parent, pg)
 
-    add(loss, np.ones_like(loss.data))
-    if loss._backward is None:      # a leaf loss: nothing to run or consume
+    add(root, np.ones_like(loss.data))
+    if root._backward is None:      # a leaf loss: nothing to run or consume
         return
     if _MALLOPT is not None:
         # the graph is freed as backward goes, so a step ends with the heap

@@ -104,6 +104,7 @@ def attend(wz: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
     alpha = e / e.sum(axis=-1, keepdims=True)                      # (B, T, heads, N, N)
     out = np.empty((b, steps, n, heads, hd), dtype=alpha.dtype)
     np.matmul(alpha, x, out=out.transpose((0, 1, 3, 2, 4)))
+    a_shape = a.shape
 
     def bwd(g):
         # the composed ops' backward, node by node: the mix, the softmax,
@@ -113,8 +114,8 @@ def attend(wz: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
         g_alpha = np.matmul(gm, np.swapaxes(x, -1, -2))
         g_wz = np.matmul(np.swapaxes(alpha, -1, -2), gm)
         g_e = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
-        # inline, as in leaky_relu: the product may take the factor's buffer
-        # and e's memory layout, which fixes the summation order below
+        # inline on purpose: the product may take the factor's buffer and
+        # e's memory layout, which fixes the summation order below
         g_e = g_e * np.where(mask, 1.0, LEAKY_SLOPE)
         g_a = []
         for coef, score_shape in ((a_src, (b, steps, heads, n, 1)),
@@ -123,7 +124,7 @@ def attend(wz: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
             g_prod = np.broadcast_to(g_score, x.shape).copy()
             g_wz = g_wz + g_prod * coef
             g_a.append(_unbroadcast(g_prod * x, coef.shape))
-        return g_wz, np.concatenate(g_a, axis=-1).reshape(a.shape)
+        return g_wz, np.concatenate(g_a, axis=-1).reshape(a_shape)
 
     refined = Tensor._from_op(out.reshape(b, steps, n, heads * hd), (wz, a), "gat", bwd)
     return refined, Tensor(alpha)

@@ -134,6 +134,10 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
                 cells[:, t] = c
     if not keep:
         return Tensor(out)
+    x_shape, bias_shape, w_h = x.shape, bias.shape, wh.data
+    # the input gradient needs wx; the three weight gradients are always
+    # formed, and backward drops any whose tensor does not require grad
+    w_x = wx.data if x.requires_grad else None
 
     def bwd(grad):
         dz = np.empty_like(gates)
@@ -154,7 +158,7 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
             dzt[:, 3 * hd:] = dh * tc * o * (1.0 - o)
             if not first:
                 dc = dc * f
-                dh = dzt @ wh.data.T
+                dh = dzt @ w_h.T
         dz2 = dz.reshape(-1, width)
         # h_prev of every step, zero for the first processed one
         h_prev = np.zeros_like(out)
@@ -162,9 +166,7 @@ def _recurrence(x: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, reverse: bool) 
             h_prev[:, :-1] = out[:, 1:]
         else:
             h_prev[:, 1:] = out[:, :-1]
-        # the three weight gradients are always formed; backward drops any
-        # whose tensor does not require grad
-        return ((dz2 @ wx.data.T).reshape(x.shape) if x.requires_grad else None,
-                x2.T @ dz2, _unbroadcast(dz, bias.shape), h_prev.reshape(-1, hd).T @ dz2)
+        return (None if w_x is None else (dz2 @ w_x.T).reshape(x_shape),
+                x2.T @ dz2, _unbroadcast(dz, bias_shape), h_prev.reshape(-1, hd).T @ dz2)
 
     return Tensor._from_op(out, parents, "lstm", bwd)

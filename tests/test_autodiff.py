@@ -1,6 +1,8 @@
 """Tensor engine: per-op gradient checks against central differences, plus
 graph bookkeeping semantics (accumulation, no_grad, topological order)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from crisp.autodiff import (
     concat,
     dropout,
     grad_enabled,
-    leaky_relu,
     matmul,
     maximum,
     no_grad,
@@ -23,6 +24,7 @@ from crisp.autodiff import (
 )
 
 from _gradcheck import max_rel_error
+from _reference import broadcast_to, leaky_relu, sigmoid, tanh
 
 TOL = 1e-6
 
@@ -50,7 +52,7 @@ def test_neg_grads(rng):
 def test_elementwise_unary_grads(rng):
     def build(xs):
         x = xs[0]
-        y = x.exp().tanh() + x.sigmoid() * x.relu() + x.abs()
+        y = tanh(x.exp()) + sigmoid(x) * x.relu() + x.abs()
         return y.sum()
 
     assert max_rel_error(build, [(4, 3)], rng) < TOL
@@ -96,7 +98,7 @@ def test_swap_last_two_matches_transpose(rng):
 
 def test_broadcast_to_grads(rng):
     def build(xs):
-        return (xs[0].broadcast_to((5, 3, 4)) * 2.0).sum()
+        return (broadcast_to(xs[0], (5, 3, 4)) * 2.0).sum()
 
     assert max_rel_error(build, [(3, 4)], rng) < TOL
 
@@ -248,6 +250,13 @@ def test_dropout_train_scales_and_eval_is_identity(rng):
     assert same is x
     with pytest.raises(ValueError, match="rate"):
         dropout(x, 1.0, rng, training=True)
+    assert dropout(x, 0.0, rng, training=True) is x
+
+
+@pytest.mark.parametrize("p, training", [(-0.5, True), (1.5, False), (-0.5, False)])
+def test_dropout_checks_its_rate_whether_or_not_it_acts(rng, p, training):
+    with pytest.raises(ValueError, match="rate"):
+        dropout(Tensor(np.ones(3), requires_grad=True), p, rng, training)
 
 
 # each op with a Python scalar (or dropout's mask, or leaky_relu's slope)
@@ -346,7 +355,7 @@ def test_only_leaves_keep_gradients_after_backward(rng):
     p = Parameter("w", rng.standard_normal((3, 2)))
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     h = matmul(x, p)
-    out = (h.tanh() + h).sum()
+    out = (tanh(h) + h).sum()
     out.backward()
     assert h.grad is None and out.grad is None
     assert np.abs(p.grad).max() > 0.0 and np.abs(x.grad).max() > 0.0
@@ -380,11 +389,11 @@ def test_cast_backward_returns_the_parents_dtype(rng):
     b = rng.standard_normal((4, 2)).astype(np.float32)
     h = matmul(cast(x, np.float32), Tensor(b))
     assert h.dtype == np.float32
-    loss = cast(h.tanh(), np.float64).sum()
+    loss = cast(tanh(h), np.float64).sum()
     loss.backward()
     assert loss.dtype == np.float64 and x.grad.dtype == np.float64
     want = Parameter("w", x.data)
-    matmul(want, Tensor(b)).tanh().sum().backward()
+    tanh(matmul(want, Tensor(b))).sum().backward()
     assert np.abs(x.grad - want.grad).max() <= 1e-6 * np.abs(want.grad).max()
 
 
@@ -394,6 +403,23 @@ def test_constant_inputs_get_no_gradient():
     (x * y).sum().backward()
     assert x.grad is None
     assert np.allclose(y.grad, np.ones(3))
+
+
+def test_a_chain_keeps_only_the_results_it_still_holds():
+    # an add's backward reads no operand, so the graph keeps none of the
+    # chain's 1 MB results: only the last two are ever alive at once
+    x = Tensor(np.zeros(125_000), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = x
+        for _ in range(20):
+            y = y + 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"chain peak {peak / 1e6:.1f} MB"
+    y.sum().backward()
+    assert np.array_equal(x.grad, np.ones(125_000))
 
 
 def test_deep_chain_exceeds_recursion_limit():

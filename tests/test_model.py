@@ -13,7 +13,7 @@ import pytest
 from crisp import backtest
 from crisp.allocation import (DROPOUT_RATE, TEMPERATURE, WEIGHT_CAP, WEIGHT_FLOOR,
                                project_constraints_tensor)
-from crisp.autodiff import Tensor, concat, dropout, leaky_relu, matmul, no_grad, softmax
+from crisp.autodiff import _CONSTANT, Tensor, concat, dropout, matmul, no_grad, softmax
 from crisp.data import make_windows
 from crisp.graphattn import LEAKY_SLOPE
 from crisp.model import VARIANTS, CrispModel, ModelConfig
@@ -22,6 +22,7 @@ from crisp.temporal import ENCODER_DTYPE
 from crisp.training import AdamState, TrainConfig, adam_step, clip_gradients
 
 from _gradcheck import set_encoder_dtype
+from _reference import broadcast_to, leaky_relu
 from test_nn import composed_lstm
 
 # test ids for VARIANTS, in its order
@@ -57,7 +58,7 @@ def joined_forward(model, features, prior_adjacency, rng, training,
     h_spat = model.spatial(Tensor(features.mean(axis=2)), Tensor(prior_adjacency))
 
     temp_seq = h_step.transpose((0, 2, 1, 3))
-    spat_seq = h_spat.reshape(b, 1, n, 128).broadcast_to((b, steps, n, 128))
+    spat_seq = broadcast_to(h_spat.reshape(b, 1, n, 128), (b, steps, n, 128))
     z_init = concat([temp_seq, spat_seq], axis=3)                  # (B, T, N, 256)
     alphas = None
     if model.config.static_graph:
@@ -149,19 +150,20 @@ def _step_peak_bytes(prior, dtype) -> int:
         tracemalloc.stop()
 
 
-# a step peaks at 164.2 MB (float64 reference encoder) and 114.7 MB (float32
-# encoder): the live forward graph plus the first large node of backward;
-# each guard sits about 5 % above its peak
+# a step peaks at 133.3 MB (float64 reference encoder) and 86.8 MB (float32
+# encoder) in backward: the arrays the forward graph's closures captured
+# (118.9 and 72.4 MB once the loss is built) plus backward's working
+# gradients; each guard sits about 5 % above its peak
 def test_training_step_peak_memory(prior):
     peak = _step_peak_bytes(prior, np.float64)
     print(f"B=16 train step peak, float64 reference encoder: {peak / 1e6:.1f} MB")
-    assert peak < 172e6, f"train step peak {peak / 1e6:.1f} MB"
+    assert peak < 140e6, f"train step peak {peak / 1e6:.1f} MB"
 
 
 def test_float32_training_step_peak_memory(prior):
     peak = _step_peak_bytes(prior, np.float32)
     print(f"B=16 train step peak, float32 encoder: {peak / 1e6:.1f} MB")
-    assert peak < 120e6, f"float32 train step peak {peak / 1e6:.1f} MB"
+    assert peak < 91e6, f"float32 train step peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -201,11 +203,12 @@ def test_allocate_peak_memory(prior):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"allocate peak, float32 encoder: {peak / 1e6:.2f} MB")
     assert peak < 2.2e6, f"allocate peak {peak / 1e6:.2f} MB"
 
 
-def _graph(root: Tensor) -> list[Tensor]:
-    """Every tensor the graph under ``root`` reaches, constants included."""
+def _graph(root) -> list:
+    """``root`` and every graph entry under it, constants included."""
     seen, stack, nodes = set(), [root], []
     while stack:
         node = stack.pop()
@@ -216,13 +219,14 @@ def _graph(root: Tensor) -> list[Tensor]:
     return nodes
 
 
-def _b16_loss(model, prior, dtype):
-    """A B=16 training step's loss, the encoder at ``dtype``, graph unconsumed.
+def _step_loss(model, prior, dtype, b=16):
+    """A training step's loss at batch ``b``, the encoder at ``dtype``, graph
+    unconsumed.
 
     Backward consumes the graph, so a test walks it before calling backward.
     """
     gen = np.random.default_rng(7)
-    b, n = 16, model.config.n_assets
+    n = model.config.n_assets
     x = gen.standard_normal((b, n, model.config.window, model.config.n_features))
     static = None
     if model.config.static_graph:
@@ -237,11 +241,34 @@ def _b16_loss(model, prior, dtype):
 
 
 def test_float64_reference_encoder_builds_no_cast_node(prior):
-    loss = _b16_loss(CrispModel(ModelConfig()), prior, np.float64)
+    loss = _step_loss(CrispModel(ModelConfig()), prior, np.float64)
     nodes = _graph(loss)
     assert len(nodes) >= 100
     assert all(node.op != "cast" for node in nodes)
     loss.backward()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS), ids=VARIANT_IDS)
+def test_graph_keeps_only_what_its_closures_capture(prior, variant):
+    # a B=4 step: no backward closure captures a Tensor, and every graph
+    # entry is an op's node, which holds no array, a parameter, or the one
+    # entry every constant operand shares
+    model = CrispModel(ModelConfig(variant=variant))
+    loss = _step_loss(model, prior, ENCODER_DTYPE, b=4)
+    entries = _graph(loss._node)
+    assert len(entries) >= 50
+    params = {id(p) for p in model.parameters()}
+    for entry in entries:
+        if entry._backward is None:
+            assert id(entry) in params or entry is _CONSTANT, entry
+            continue
+        assert not isinstance(entry, Tensor)
+        for cell in entry._backward.__closure__ or ():
+            held = cell.cell_contents
+            items = held if isinstance(held, (tuple, list)) else (held,)
+            assert not any(isinstance(item, Tensor) for item in items), (entry.op, held)
+    loss.backward()
+    assert all(np.isfinite(p.grad).all() for p in model.parameters())
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -249,7 +276,7 @@ def test_float32_step_gradients_match_float64(prior, variant):
     model = CrispModel(ModelConfig(init_seed=3, variant=variant))
     grads = {}
     for dtype in (np.float64, np.float32):
-        loss = _b16_loss(model, prior, dtype)
+        loss = _step_loss(model, prior, dtype)
         loss.backward()
         assert loss.dtype == np.float64
         grads[dtype] = {p.name: p.grad.copy() for p in model.parameters()}
@@ -260,29 +287,30 @@ def test_float32_step_gradients_match_float64(prior, variant):
         assert rel <= 1e-4, (name, rel)
 
 
-def test_float32_policy_keeps_the_whole_encoder_in_float32(prior):
-    # walk back from the encoder's exit cast to its entry casts: a float64
-    # node or constant anywhere in between is a silent upcast
+def test_float32_policy_keeps_the_whole_encoder_in_float32(prior, monkeypatch):
+    # record every op a step's forward builds: the encoder's casts are its
+    # only dtype changes, and an op that mixes float32 and float64 operands,
+    # or a float64 constant on the float32 path, is a silent upcast
+    made = []
+    build = Tensor._from_op.__func__
+
+    def recording(cls, data, parents, op, backward):
+        out = build(cls, data, parents, op, backward)
+        made.append((op, out.dtype, tuple(p.dtype for p in parents)))
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
     model = CrispModel(ModelConfig())
-    loss = _b16_loss(model, prior, np.float32)
-    nodes = _graph(loss)
-    assert len(nodes) >= 100
-    casts = [node for node in nodes if node.op == "cast"]
-    (exit_cast,) = [c for c in casts if c.dtype == np.float64]
-    entries, stack, seen = [], list(exit_cast._parents), set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        assert node.dtype == np.float32, (node, node.dtype)
-        if node.op == "cast":
-            entries.append(node)
-        else:
-            stack.extend(node._parents)
-    # wx, wh and b of both LSTM directions, Q, K, V and the folded projection
-    assert len(entries) == 10 == len(casts) - 1
-    assert all(c._parents[0].dtype == np.float64 for c in entries)
+    loss = _step_loss(model, prior, np.float32)
+    assert len(made) >= 100
+    casts = [(out, srcs[0]) for op, out, srcs in made if op == "cast"]
+    # the input, then wx, wh and b of both LSTM directions, Q, K, V and the
+    # folded projection go down to float32; h_step alone comes back up
+    assert casts.count((np.float32, np.float64)) == 11
+    assert casts.count((np.float64, np.float32)) == 1 == len(casts) - 11
+    for op, out, srcs in made:
+        if op != "cast":
+            assert all(src == out for src in srcs), (op, out, srcs)
     loss.backward()
     assert all(p.dtype == np.float64 and p.grad.dtype == np.float64
                for p in model.parameters())

@@ -7,6 +7,7 @@ from crisp.autodiff import ParameterBag, Tensor, concat, matmul, no_grad
 from crisp.nn import LSTM, Linear, _recurrence
 
 from _gradcheck import max_rel_error
+from _reference import sigmoid, tanh
 
 
 def _sigmoid(z):
@@ -45,12 +46,12 @@ def composed_lstm(lstm, x, reverse=False):
     outputs = [None] * steps
     for t in order:
         z = xz[:, t, :] + matmul(h, lstm.wh)
-        i = z[:, 0 * hd:1 * hd].sigmoid()
-        f = z[:, 1 * hd:2 * hd].sigmoid()
-        g = z[:, 2 * hd:3 * hd].tanh()
-        o = z[:, 3 * hd:4 * hd].sigmoid()
+        i = sigmoid(z[:, 0 * hd:1 * hd])
+        f = sigmoid(z[:, 1 * hd:2 * hd])
+        g = tanh(z[:, 2 * hd:3 * hd])
+        o = sigmoid(z[:, 3 * hd:4 * hd])
         c = f * c + i * g
-        h = o * c.tanh()
+        h = o * tanh(c)
         outputs[t] = h.reshape(batch, 1, hd)
     return concat(outputs, axis=1)
 
