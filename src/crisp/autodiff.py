@@ -15,8 +15,9 @@ Design notes:
 * float64 by default.  Parameters, their gradients, optimizer state and
   every loss stay float64, which keeps finite-difference checks
   noise-free.  A layer may compute at a lower dtype of its own: it passes
-  its inputs and each weight it reads through :func:`cast` once per
-  forward and casts its output back to float64 (float64 master weights,
+  its inputs through :func:`cast` every forward and each weight it reads
+  once per forward (once per model, if it is only served), and casts its
+  output back to float64 (float64 master weights,
   as in Micikevicius et al., *Mixed Precision Training*,
   arXiv:1710.03740).  ``cast`` to the dtype a tensor already has returns
   it unchanged, so a float64 layer adds no node.  Only the temporal

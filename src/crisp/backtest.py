@@ -30,6 +30,7 @@ from .allocation import (
     project_constraints,
     score_to_weights,
 )
+from .autodiff import no_grad
 from .data import Universe, Window
 from .features import PAD, compute_features, day_features, feature_columns, finish_window
 from .graphattn import AttentionRecord
@@ -397,9 +398,15 @@ def train_on_universe(universe: Universe, book: AssetBook, prior: PriorGraph,
 
 def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
                    defensive_mask: np.ndarray, name: str = "CRISP") -> Strategy:
-    """Strategy wrapping a trained model's best parameters."""
+    """Strategy wrapping a trained model's best parameters.
+
+    The model is private and never trained, so its encoder weights are cast
+    once here and serve every rebalance.
+    """
     model = CrispModel(checkpoint.model_config)
     model.load_state(checkpoint.best_params)
+    with no_grad():
+        prepared = model.temporal.prepare()
     normalizer = checkpoint.feature_normalizer()
     columns = feature_columns(checkpoint.model_config.n_features)
     window = checkpoint.model_config.window
@@ -408,6 +415,9 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
         start = end - window + 1
         if start < 0:
             raise ValueError(f"window ending at {end} has no room for {window} days")
+        if end >= universe.n_return_days:
+            raise ValueError(f"window ending at {end} is past the last return day "
+                             f"(valid ends {window - 1}..{universe.n_return_days - 1})")
         hi = start + PAD + window
         feats = compute_features(*(a[..., start:hi] for a in universe.padded_inputs(PAD)),
                                  defensive=defensive_mask)
@@ -419,7 +429,7 @@ def crisp_strategy(checkpoint: Checkpoint, prior: PriorGraph,
             static, empty = static_adjacency_at(universe, end)
             if empty:
                 note = f"index {end}: empty correlation graph, identity adjacency used"
-        weights, attention = model.allocate(feats, prior.normalized, static)
+        weights, attention = model.allocate(feats, prior.normalized, static, prepared=prepared)
         return PortfolioWeights(weights, as_of_date=universe.return_dates[end],
                                 attention=attention, fallback=note)
 

@@ -37,7 +37,6 @@ centered once for all assets.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -49,13 +48,10 @@ __all__ = [
     "PAD",
     "CRISIS_FEATURES",
     "FeatureNormalizer",
-    "amihud",
     "compute_features",
-    "cvar",
     "day_features",
     "feature_columns",
     "finish_window",
-    "rsi",
 ]
 
 PAD = 20            # lookback days prepended to every window
@@ -115,45 +111,6 @@ def feature_columns(n_features: int) -> list[int] | None:
             f"model expects {n_features} features; the roster has {N_FEATURES}, "
             f"or {len(kept)} without the crisis block")
     return kept
-
-
-# -- public scalar helpers ----------------------------------------------------
-
-def cvar(returns: np.ndarray, alpha: float = 0.05) -> float:
-    """Mean of the worst ceil(alpha*n) returns; negative when losses exist."""
-    r = np.asarray(returns, dtype=np.float64).ravel()
-    if r.size == 0:
-        raise ValueError("cvar requires at least one return")
-    k = math.ceil(alpha * r.size)
-    worst = np.sort(r)[:k]
-    return float(worst.mean())
-
-
-def rsi(prices: np.ndarray, period: int = 14) -> float:
-    """Wilder RSI in [0, 100]; 100 all-gain, 0 all-loss, 50 at zero movement."""
-    p = np.asarray(prices, dtype=np.float64).ravel()
-    if p.size < period + 1:
-        raise ValueError(f"rsi needs at least {period + 1} prices, got {p.size}")
-    diffs = np.diff(p[-(period + 1):])
-    gain = np.maximum(diffs, 0.0).mean()
-    loss = np.maximum(-diffs, 0.0).mean()
-    if gain == 0.0 and loss == 0.0:
-        return 50.0
-    if loss == 0.0:
-        return 100.0
-    return float(100.0 - 100.0 / (1.0 + gain / loss))
-
-
-def amihud(returns: np.ndarray, dollar_volumes: np.ndarray) -> float:
-    """Mean |return| per unit of dollar volume; zero-volume days excluded."""
-    r = np.asarray(returns, dtype=np.float64).ravel()
-    dv = np.asarray(dollar_volumes, dtype=np.float64).ravel()
-    if r.size != dv.size:
-        raise ValueError(f"length mismatch: {r.size} returns vs {dv.size} volumes")
-    live = dv > 0.0
-    if not live.any():
-        raise ValueError("amihud undefined: every day has zero dollar volume")
-    return float((np.abs(r[live]) / dv[live]).mean())
 
 
 # -- vectorized rolling kernels ----------------------------------------------

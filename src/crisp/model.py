@@ -15,7 +15,10 @@ switch, so the trainer and backtester treat every variant uniformly.
 
 Only the temporal encoder computes below float64, at the dtype it holds
 itself, in every ``forward``: training, validation and ``allocate`` (which
-serves walk-forward, backtests and ablations) run the one function.
+serves walk-forward, backtests and ablations) run the one function.  A
+training or validation forward casts the encoder's weights itself, once
+per forward; a served model casts them once, with
+``TemporalEncoder.prepare``, and hands them to every ``allocate``.
 Parameters, the spatial encoder, graph attention, the allocation head, the
 projection and the loss stay float64.
 """
@@ -34,7 +37,7 @@ from .features import CRISIS_FEATURES, N_FEATURES
 from .graphattn import GatLayer
 from .nn import joined_matmul
 from .spatial import SpatialEncoder
-from .temporal import TemporalEncoder
+from .temporal import EncoderWeights, TemporalEncoder
 
 __all__ = ["VARIANTS", "CrispModel", "ModelConfig"]
 
@@ -115,13 +118,16 @@ class CrispModel:
     def forward(self, features: np.ndarray, prior_adjacency: np.ndarray,
                 rng: np.random.Generator, training: bool,
                 static_adjacency: np.ndarray | None = None,
+                prepared: EncoderWeights | None = None,
                 ) -> tuple[Tensor, np.ndarray | None]:
         """(B, N, T, F) features -> (weights (B, N), last-step attention).
 
         ``prior_adjacency`` is the normalized prior graph (N, N).  The static
         variant additionally needs per-window normalized correlation
-        adjacencies (B, N, N).  Attention comes back as (B, heads, N, N)
-        numpy for the final time step, or None for the static variant.
+        adjacencies (B, N, N).  ``prepared`` is the temporal encoder's
+        ``prepare()``, cast in this forward when absent.  Attention comes
+        back as (B, heads, N, N) numpy for the final time step, or None for
+        the static variant.
         """
         cfg = self.config
         b, n, steps, feats = features.shape
@@ -132,7 +138,7 @@ class CrispModel:
         x = Tensor(features)
         prior = Tensor(prior_adjacency)
 
-        h_step = self.temporal(x)                                         # (B, N, T, 128)
+        h_step = self.temporal(x, prepared=prepared)                      # (B, N, T, 128)
         spat = self.spatial(Tensor(features.mean(axis=2)), prior)         # (B, N, 128)
         temp = h_step.transpose((0, 2, 1, 3))                             # (B, T, N, 128)
 
@@ -154,13 +160,18 @@ class CrispModel:
 
     def allocate(self, features: np.ndarray, prior_adjacency: np.ndarray,
                  static_adjacency: np.ndarray | None = None,
+                 prepared: EncoderWeights | None = None,
                  ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Eval-mode single-window forward: (N, T, F) -> ((N,), attention)."""
+        """Eval-mode single-window forward: (N, T, F) -> ((N,), attention).
+
+        ``prepared`` as in :meth:`forward`.
+        """
         rng = np.random.default_rng(0)     # dropout disabled in eval; unused
         with no_grad():
             batch = features[None, ...]
             static = None if static_adjacency is None else static_adjacency[None, ...]
             weights, alphas = self.forward(batch, prior_adjacency, rng,
-                                           training=False, static_adjacency=static)
+                                           training=False, static_adjacency=static,
+                                           prepared=prepared)
         att = None if alphas is None else alphas[0]
         return weights.data[0].copy(), att

@@ -3,8 +3,8 @@
 Layers here hold no state beyond their parameters, which live in a shared
 ``ParameterBag`` owned by the model, so checkpointing and optimizer loops
 see one flat namespace.  The LSTM runs at its input's dtype: the temporal
-encoder's own dtype inside it, float64 elsewhere.  Its float64 weights are
-cast to that dtype once per run.
+encoder's own dtype inside it, float64 elsewhere.  It reads its float64
+weights cast to that dtype, cast per run or handed in already cast.
 """
 
 from __future__ import annotations
@@ -64,15 +64,21 @@ class LSTM:
         self.wh = bag.register(f"{name}.wh", uniform_init(rng, h, (h, 4 * h)))
         self.b = bag.register(f"{name}.b", uniform_init(rng, h, (4 * h,)))
 
-    def run(self, x: Tensor, reverse: bool = False) -> Tensor:
+    def cast_weights(self, dtype) -> tuple[Tensor, Tensor, Tensor]:
+        """(wx, b, wh) at ``dtype``, as :meth:`run` reads them."""
+        return cast(self.wx, dtype), cast(self.b, dtype), cast(self.wh, dtype)
+
+    def run(self, x: Tensor, reverse: bool = False,
+            weights: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
         """Full sequence: x (B, T, in) -> hidden states (B, T, H).
 
         With ``reverse=True`` the sequence is consumed right to left and the
         output is re-aligned so row t still describes timestep t.  The
-        weights are cast to ``x``'s dtype, which the recurrence runs at.
+        recurrence runs at ``x``'s dtype; ``weights`` is
+        :meth:`cast_weights` at that dtype, cast here when absent.
         """
-        return _recurrence(x, cast(self.wx, x.dtype), cast(self.b, x.dtype),
-                           cast(self.wh, x.dtype), reverse)
+        wx, b, wh = self.cast_weights(x.dtype) if weights is None else weights
+        return _recurrence(x, wx, b, wh, reverse)
 
     def run_joined(self, temp: Tensor, spat: Tensor) -> Tensor:
         """Forward run over [temp_t || spat]: temp (B, T, d_t), spat (B, d_s) -> (B, T, H).

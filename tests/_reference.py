@@ -1,19 +1,23 @@
-"""Autodiff ops that only the tests' composed references use.
+"""Autodiff ops and scalar feature formulas that only the tests use.
 
 The model runs the LSTM gates and the graph attention's LeakyReLU inside
 fused nodes, so ``crisp.autodiff`` has no tanh, sigmoid, LeakyReLU or
 broadcast op.  These build the composed references those nodes are
 checked against, each as one node on ``Tensor._from_op`` whose backward
-captures arrays and shapes, never a ``Tensor``.
+captures arrays and shapes, never a ``Tensor``.  ``cvar``, ``rsi`` and
+``amihud`` are the one-window scalar formulas that ``crisp.features``
+computes as vectorized columns.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from crisp.autodiff import Tensor, _unbroadcast, as_tensor
 
-__all__ = ["broadcast_to", "leaky_relu", "sigmoid", "tanh"]
+__all__ = ["amihud", "broadcast_to", "cvar", "leaky_relu", "rsi", "sigmoid", "tanh"]
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -61,3 +65,42 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
         return (_unbroadcast(g, in_shape),)
 
     return Tensor._from_op(out_data, (x,), "broadcast", bwd)
+
+
+# -- scalar feature formulas ---------------------------------------------------
+
+def cvar(returns: np.ndarray, alpha: float = 0.05) -> float:
+    """Mean of the worst ceil(alpha*n) returns; negative when losses exist."""
+    r = np.asarray(returns, dtype=np.float64).ravel()
+    if r.size == 0:
+        raise ValueError("cvar requires at least one return")
+    k = math.ceil(alpha * r.size)
+    worst = np.sort(r)[:k]
+    return float(worst.mean())
+
+
+def rsi(prices: np.ndarray, period: int = 14) -> float:
+    """Wilder RSI in [0, 100]; 100 all-gain, 0 all-loss, 50 at zero movement."""
+    p = np.asarray(prices, dtype=np.float64).ravel()
+    if p.size < period + 1:
+        raise ValueError(f"rsi needs at least {period + 1} prices, got {p.size}")
+    diffs = np.diff(p[-(period + 1):])
+    gain = np.maximum(diffs, 0.0).mean()
+    loss = np.maximum(-diffs, 0.0).mean()
+    if gain == 0.0 and loss == 0.0:
+        return 50.0
+    if loss == 0.0:
+        return 100.0
+    return float(100.0 - 100.0 / (1.0 + gain / loss))
+
+
+def amihud(returns: np.ndarray, dollar_volumes: np.ndarray) -> float:
+    """Mean |return| per unit of dollar volume; zero-volume days excluded."""
+    r = np.asarray(returns, dtype=np.float64).ravel()
+    dv = np.asarray(dollar_volumes, dtype=np.float64).ravel()
+    if r.size != dv.size:
+        raise ValueError(f"length mismatch: {r.size} returns vs {dv.size} volumes")
+    live = dv > 0.0
+    if not live.any():
+        raise ValueError("amihud undefined: every day has zero dollar volume")
+    return float((np.abs(r[live]) / dv[live]).mean())

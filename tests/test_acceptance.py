@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import max_rel_error, set_encoder_dtype
-from _reference import broadcast_to, leaky_relu, sigmoid, tanh
+from _reference import broadcast_to, cvar, leaky_relu, sigmoid, tanh
 from crisp.allocation import (
     TEMPERATURE,
     PortfolioWeights,
@@ -52,7 +52,6 @@ from crisp.backtest import (
     train_on_universe,
 )
 from crisp.data import RegimeConfig, Window, generate_synthetic, make_windows
-from crisp.features import cvar
 from crisp.graphattn import AttentionRecord, sparsity_report
 from crisp.model import CrispModel, ModelConfig
 from crisp.objectives import l_div, l_turn, loss_from_batch, metrics

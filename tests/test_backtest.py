@@ -651,6 +651,25 @@ def test_crisp_strategy_rejects_early_window(trained_checkpoint, small_universe,
         strat.weight_fn(small_universe, 5, np.full(13, 1.0 / 13))
 
 
+def test_crisp_strategy_rejects_an_end_past_the_last_return_day(
+        trained_checkpoint, small_universe, book, prior, monkeypatch):
+    defensive = book.defensive_mask(small_universe.tickers)
+    strat = crisp_strategy(trained_checkpoint, prior, defensive)
+    prev = np.full(13, 1.0 / 13)
+    last = small_universe.n_return_days - 1
+    pw = strat.weight_fn(small_universe, last, prev.copy())
+    assert pw.as_of_date == small_universe.return_dates[last]
+
+    def no_feature_work(*args, **kwargs):
+        raise AssertionError("features computed for a rejected window")
+
+    monkeypatch.setattr(backtest, "compute_features", no_feature_work)
+    for end in (last + 1, last + 5):
+        with pytest.raises(ValueError, match=rf"^window ending at {end} is past the last "
+                                             rf"return day \(valid ends 19\.\.{last}\)$"):
+            strat.weight_fn(small_universe, end, prev.copy())
+
+
 def test_crisp_strategy_rejects_universe_with_other_asset_count(trained_checkpoint, book):
     tickers = book.tickers()[:12]
     universe = generate_synthetic(tickers, 60, seed=3)

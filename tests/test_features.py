@@ -14,16 +14,15 @@ from crisp.features import (
     N_FEATURES,
     PAD,
     FeatureNormalizer,
-    amihud,
     _corr,
     _safe_div,
     compute_features,
-    cvar,
     day_features,
     feature_columns,
     roster_csv,
-    rsi,
 )
+
+from _reference import amihud, cvar, rsi
 
 IDX = {name: i for i, (name, _, _) in enumerate(FEATURE_ROSTER)}
 

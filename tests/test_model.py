@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from crisp.allocation import (DROPOUT_RATE, TEMPERATURE, WEIGHT_CAP, WEIGHT_FLOO
                                project_constraints_tensor)
 from crisp.autodiff import _CONSTANT, Tensor, concat, dropout, matmul, no_grad, softmax
 from crisp.data import make_windows
+from crisp.features import feature_columns
 from crisp.graphattn import LEAKY_SLOPE
 from crisp.model import VARIANTS, CrispModel, ModelConfig
 from crisp.objectives import loss_from_batch
@@ -287,10 +289,8 @@ def test_float32_step_gradients_match_float64(prior, variant):
         assert rel <= 1e-4, (name, rel)
 
 
-def test_float32_policy_keeps_the_whole_encoder_in_float32(prior, monkeypatch):
-    # record every op a step's forward builds: the encoder's casts are its
-    # only dtype changes, and an op that mixes float32 and float64 operands,
-    # or a float64 constant on the float32 path, is a silent upcast
+def _record_ops(monkeypatch) -> list:
+    """(op, output dtype, parent dtypes) of every op built from here on."""
     made = []
     build = Tensor._from_op.__func__
 
@@ -300,6 +300,14 @@ def test_float32_policy_keeps_the_whole_encoder_in_float32(prior, monkeypatch):
         return out
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+    return made
+
+
+def test_float32_policy_keeps_the_whole_encoder_in_float32(prior, monkeypatch):
+    # record every op a step's forward builds: the encoder's casts are its
+    # only dtype changes, and an op that mixes float32 and float64 operands,
+    # or a float64 constant on the float32 path, is a silent upcast
+    made = _record_ops(monkeypatch)
     model = CrispModel(ModelConfig())
     loss = _step_loss(model, prior, np.float32)
     assert len(made) >= 100
@@ -361,16 +369,24 @@ def test_allocate_matches_the_float64_forward(prior, variant):
     _assert_allocate_matches_float64(model, x, prior.normalized, static)
 
 
-def test_trained_checkpoint_allocates_as_the_float64_forward(book, small_universe, prior):
-    windows = make_windows(small_universe, 20, 5, 5)[:12]
+@pytest.fixture(scope="module")
+def served(book, small_universe, prior):
+    """A checkpoint trained briefly on the first 12 windows, the defensive
+    mask, and every window of the 160-day universe."""
+    windows = make_windows(small_universe, 20, 5, 5)
     cfg = TrainConfig(learning_rate=5e-4, lr_min=5e-4, batch_size=6, max_epochs=2,
                       patience=5, val_fraction=0.2, seed=0)
-    ck = backtest.train_on_universe(small_universe, book, prior, windows,
+    ck = backtest.train_on_universe(small_universe, book, prior, windows[:12],
                                     ModelConfig(), cfg).checkpoint
+    return ck, book.defensive_mask(small_universe.tickers), windows
+
+
+def test_trained_checkpoint_allocates_as_the_float64_forward(served, prior):
+    ck, _, windows = served
     model = CrispModel(ck.model_config)
     model.load_state(ck.best_params)
     normalizer = ck.feature_normalizer()
-    for w in windows:
+    for w in windows[:12]:
         _assert_allocate_matches_float64(model, normalizer.transform(w.features),
                                          prior.normalized)
 
@@ -378,7 +394,8 @@ def test_trained_checkpoint_allocates_as_the_float64_forward(book, small_univers
 def test_allocate_runs_the_encoder_at_the_training_dtype(prior, monkeypatch):
     model = CrispModel(ModelConfig())
     seen, bilstm = [], model.temporal.bilstm
-    monkeypatch.setattr(model.temporal, "bilstm", lambda x: seen.append(x.dtype) or bilstm(x))
+    monkeypatch.setattr(model.temporal, "bilstm",
+                        lambda x, prepared: seen.append(x.dtype) or bilstm(x, prepared))
     x, _ = _window_inputs(model)
     weights, _ = model.allocate(x, prior.normalized)
     assert seen == [ENCODER_DTYPE] and ENCODER_DTYPE == np.float32
@@ -391,7 +408,8 @@ def test_a_bare_forward_runs_the_encoder_at_the_training_dtype(prior, monkeypatc
     # bench's timed step is, computes what train() and allocate compute
     model = CrispModel(ModelConfig())
     seen, bilstm = [], model.temporal.bilstm
-    monkeypatch.setattr(model.temporal, "bilstm", lambda x: seen.append(x.dtype) or bilstm(x))
+    monkeypatch.setattr(model.temporal, "bilstm",
+                        lambda x, prepared: seen.append(x.dtype) or bilstm(x, prepared))
     x, _ = _window_inputs(model)
     weights, _ = model.forward(x[None], prior.normalized, np.random.default_rng(0),
                                training=True)
@@ -411,6 +429,112 @@ def test_saturated_float32_gates_warn_nothing(prior):
     assert np.isfinite(weights).all() and np.isfinite(alphas).all()
     assert abs(weights.sum() - 1.0) <= 1e-9
     assert weights.min() >= WEIGHT_FLOOR - 1e-9 and weights.max() <= WEIGHT_CAP + 1e-9
+
+
+# -- serving: a strategy's encoder weights, cast once -------------------------
+
+def _variant_checkpoint(ck, variant):
+    # the variant's own initial parameters beside the trained normalizer,
+    # cut to the columns the variant reads
+    config = replace(ck.model_config, variant=variant, init_seed=5)
+    columns = feature_columns(config.n_features) or slice(None)
+    return replace(ck, model_config=config, best_params=CrispModel(config).state(),
+                   normalizer={k: v[..., columns] for k, v in ck.normalizer.items()})
+
+
+def _record_allocate(monkeypatch) -> list:
+    calls, allocate = [], CrispModel.allocate
+
+    def recording(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return allocate(self, *args, **kwargs)
+
+    monkeypatch.setattr(CrispModel, "allocate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS), ids=VARIANT_IDS)
+def test_served_rebalances_are_bitwise_a_fresh_models_allocate(served, small_universe,
+                                                                prior, variant, monkeypatch):
+    ck, defensive, windows = served
+    ck = _variant_checkpoint(ck, variant)
+    calls = _record_allocate(monkeypatch)
+    strat = backtest.crisp_strategy(ck, prior, defensive)
+    n = small_universe.n_assets
+    got = [strat.weight_fn(small_universe, w.end, np.full(n, 1.0 / n)) for w in windows[-4:]]
+    monkeypatch.undo()
+    fresh = CrispModel(ck.model_config)
+    fresh.load_state(ck.best_params)
+    assert len(calls) == 4
+    for pw, (args, kwargs) in zip(got, calls):
+        assert kwargs["prepared"] is not None
+        want_w, want_a = fresh.allocate(*args)
+        assert pw.weights.tobytes() == want_w.tobytes()
+        if want_a is None:
+            assert pw.attention is None and variant == "static"
+        else:
+            assert pw.attention.tobytes() == want_a.tobytes()
+
+
+def test_served_encoder_weights_hold_no_graph_node(served, small_universe, prior,
+                                                   monkeypatch):
+    ck, defensive, windows = served
+    calls = _record_allocate(monkeypatch)
+    strat = backtest.crisp_strategy(ck, prior, defensive)
+    n = small_universe.n_assets
+    for w in windows[-2:]:
+        strat.weight_fn(small_universe, w.end, np.full(n, 1.0 / n))
+    first, second = (kwargs["prepared"] for _, kwargs in calls)
+    assert first is second
+    products = [*first.fwd, *first.bwd, first.q, first.k, first.v, first.proj]
+    assert len(products) == 10
+    for t in products:
+        assert t._node is None and not t.requires_grad and t.grad is None
+        assert t.dtype == ENCODER_DTYPE == first.dtype
+
+
+def test_a_served_rebalance_casts_only_its_input_and_output(served, small_universe,
+                                                           prior, monkeypatch):
+    # the same probe as the float32 policy test above: a served forward
+    # reads the weights the strategy cast once, so the input going down and
+    # h_step coming back up are its only casts
+    ck, defensive, windows = served
+    strat = backtest.crisp_strategy(ck, prior, defensive)
+    made = _record_ops(monkeypatch)
+    n = small_universe.n_assets
+    strat.weight_fn(small_universe, windows[-1].end, np.full(n, 1.0 / n))
+    assert len(made) >= 50
+    casts = [(out, srcs[0]) for op, out, srcs in made if op == "cast"]
+    assert casts == [(np.float32, np.float64), (np.float64, np.float32)]
+
+
+def test_a_forward_rejects_encoder_weights_of_another_dtype(prior):
+    model = set_encoder_dtype(CrispModel(ModelConfig()))
+    with no_grad():
+        prepared = model.temporal.prepare()
+    set_encoder_dtype(model, ENCODER_DTYPE)
+    x, _ = _window_inputs(model)
+    with pytest.raises(ValueError, match="encoder weights prepared at float64, "
+                                         "the encoder computes at float32"):
+        model.allocate(x, prior.normalized, prepared=prepared)
+
+
+def test_served_rebalance_peak_memory(served, small_universe, prior):
+    # one rebalance of a strategy over the 160-day universe: features, then
+    # allocate from the encoder weights the strategy cast once.  The peak
+    # depends only on the array shapes: 1.87 MB here, and the guard sits
+    # about 5 % above it
+    ck, defensive, windows = served
+    strat = backtest.crisp_strategy(ck, prior, defensive)
+    n = small_universe.n_assets
+    tracemalloc.start()
+    try:
+        strat.weight_fn(small_universe, windows[-1].end, np.full(n, 1.0 / n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"served rebalance peak, float32 encoder: {peak / 1e6:.2f} MB")
+    assert peak < 1.96e6, f"served rebalance peak {peak / 1e6:.2f} MB"
 
 
 def test_variants_build_pairwise_different_parameter_sets():

@@ -382,7 +382,8 @@ def test_batches_and_validation_run_the_encoder_at_one_dtype(windows, prior, mon
     model = CrispModel(ModelConfig(init_seed=1))
     seen, bilstm = [], model.temporal.bilstm
     monkeypatch.setattr(model.temporal, "bilstm",
-                        lambda x: seen.append((grad_enabled(), x.dtype)) or bilstm(x))
+                        lambda x, prepared: seen.append((grad_enabled(), x.dtype))
+                        or bilstm(x, prepared))
     train(model, windows, prior.normalized, quick_config(max_epochs=1))
     # 10 training windows at batch 6, then the 2-window validation tail
     assert seen == [(True, ENCODER_DTYPE)] * 2 + [(False, ENCODER_DTYPE)]
